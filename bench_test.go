@@ -146,12 +146,12 @@ func BenchmarkFig16_MulticoreScaling(b *testing.B) {
 // guest core count, reporting the simulated ticks the run took: the
 // before/after pair below records what directory coherence costs the host
 // (ns/op) and buys the guest (sim-ticks shrink with cores).
-func benchGuestMT(b *testing.B, cores int, shards gem5prof.ShardMode) {
+func benchGuestMT(b *testing.B, cores int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res, err := gem5prof.RunGuest(gem5prof.GuestConfig{
 			CPU: gem5prof.Timing, Workload: "dotprod_mt", Scale: 16384,
-			Cores: cores, Shards: shards,
+			Cores: cores,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -169,29 +169,13 @@ func benchGuestMT(b *testing.B, cores int, shards gem5prof.ShardMode) {
 // threading stats) versus a 4-core guest with per-core L1s behind the MESI
 // directory. The host pays for four cores' events plus coherence traffic;
 // the guest's simulated time drops.
-func BenchmarkGuestMTSerial(b *testing.B) { benchGuestMT(b, 1, gem5prof.ShardSerial) }
-func BenchmarkGuestMTQuad(b *testing.B)   { benchGuestMT(b, 4, gem5prof.ShardSerial) }
-
-// BenchmarkGuestMTQuadSharded is the per-core un-fusing PR's after row
-// (BENCH_mcshard.json): the same 4-core guest as BenchmarkGuestMTQuad with
-// the widest per-core layout forced (shards 5 = cpu+dev|cpu1|cpu2|cpu3|mem;
-// explicit rather than auto, which resolves to serial on hosts with
-// GOMAXPROCS < 4). Each extra core's private events — core ticks, L1s, TLBs
-// — live on its own affine shard, and only shared-memory traffic crosses a
-// lookahead edge; modeled results stay byte-identical to the fused rows
-// (TestShardedDifferential pins this exact config).
-func BenchmarkGuestMTQuadSharded(b *testing.B) { benchGuestMT(b, 4, 5) }
+func BenchmarkGuestMTSerial(b *testing.B) { benchGuestMT(b, 1) }
+func BenchmarkGuestMTQuad(b *testing.B)   { benchGuestMT(b, 4) }
 
 // --- Ablation benches (DESIGN.md §5) ---
 
 // cosim runs one co-simulation and returns the modeled host seconds.
 func cosim(b *testing.B, host gem5prof.HostConfig, hc gem5prof.HostCodeConfig) float64 {
-	return cosimMode(b, host, hc, gem5prof.PipelineAuto)
-}
-
-// cosimMode is cosim with an explicit pipeline mode (serial vs
-// producer/consumer split; modeled results are bit-identical either way).
-func cosimMode(b *testing.B, host gem5prof.HostConfig, hc gem5prof.HostCodeConfig, mode gem5prof.PipelineMode) float64 {
 	b.Helper()
 	res, err := gem5prof.RunSession(gem5prof.SessionConfig{
 		Guest: gem5prof.GuestConfig{
@@ -200,7 +184,6 @@ func cosimMode(b *testing.B, host gem5prof.HostConfig, hc gem5prof.HostCodeConfi
 		},
 		Host:     host,
 		HostCode: hc,
-		Pipeline: mode,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -471,50 +454,6 @@ func BenchmarkGuestO3(b *testing.B) {
 func BenchmarkCosimXeon(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cosim(b, gem5prof.IntelXeon(), gem5prof.HostCodeConfig{})
-	}
-}
-
-// BenchmarkCosimXeonSerial / BenchmarkCosimXeonPipelined are the
-// pipelining PR's before/after pair (BENCH_pipeline.json): the same
-// co-simulation with the guest+hostmodel producer and the uarch consumer
-// on one goroutine vs decoupled over the internal/ring batch ring. The
-// speedup requires a second hardware core; on GOMAXPROCS==1 the pipelined
-// variant measures pure ring overhead.
-func BenchmarkCosimXeonSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cosimMode(b, gem5prof.IntelXeon(), gem5prof.HostCodeConfig{}, gem5prof.PipelineOff)
-	}
-}
-
-func BenchmarkCosimXeonPipelined(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cosimMode(b, gem5prof.IntelXeon(), gem5prof.HostCodeConfig{}, gem5prof.PipelineOn)
-	}
-}
-
-// BenchmarkCosimXeonSharded is the sharded-execution PR's after leg
-// (BENCH_shardq.json, baseline BenchmarkCosimXeonSerial): the same
-// co-simulation with the guest's event queue split into per-domain shards
-// (CPU+devices / memory) advancing in parallel under the conservative
-// quantum barrier, stats bit-identical to serial (TestShardedDifferential).
-// Like the pipelined pair, the speedup requires a second hardware core; on
-// GOMAXPROCS==1 this measures pure barrier + mailbox + trace-replay
-// overhead.
-func BenchmarkCosimXeonSharded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := gem5prof.RunSession(gem5prof.SessionConfig{
-			Guest: gem5prof.GuestConfig{
-				CPU: gem5prof.O3, Mode: gem5prof.SE,
-				Workload: "water_nsquared", Scale: 40,
-				Shards: 2,
-			},
-			Host:     gem5prof.IntelXeon(),
-			Pipeline: gem5prof.PipelineOff,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res.SimSeconds()
 	}
 }
 

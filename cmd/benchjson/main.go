@@ -8,7 +8,7 @@
 //	go test -bench 'BenchmarkHostMachineFetch' -benchmem . | go run ./cmd/benchjson > BENCH_hotpath.json
 //
 //	go test -bench ... | go run ./cmd/benchjson \
-//	    -check BENCH_hotpath.json,BENCH_pipeline.json -tolerance 0.15 > fresh.json
+//	    -check BENCH_hotpath.json,BENCH_coherence.json -tolerance 0.15 > fresh.json
 //
 // Lines that are not benchmark results (goos/goarch/pkg/cpu headers, PASS,
 // ok) are folded into the context block; unknown lines are ignored.
@@ -21,11 +21,10 @@
 // -tolerance (default 0.15, i.e. 15%) slower than its baseline — or if a
 // baseline file is unreadable, is not valid JSON, or contains no usable
 // entries, since a gate whose baseline fails to load must fail rather
-// than pass vacuously. This is what keeps the hot-path flattening PR's
-// and the pipelining PR's wins from silently rotting. Baselines are
-// per-runner-class: a cpu mismatch
-// between the baseline's context block and the fresh run's is reported to
-// stderr so cross-machine noise is diagnosable.
+// than pass vacuously. This is what keeps recorded wins from silently
+// rotting. Baselines are per-runner-class: a cpu mismatch between the
+// baseline's context block and the fresh run's is reported to stderr so
+// cross-machine noise is diagnosable.
 package main
 
 import (

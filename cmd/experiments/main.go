@@ -2,14 +2,13 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-run table1,fig01,...|all] [-j N] [-pipeline auto|on|off]
-//	            [-shards auto|off|N] [-cores N] [-simpoint] [-simpoint-interval N]
-//	            [-ckpt-cache-dir DIR] [-o out.txt] [-cpuprofile cpu.out]
-//	            [-memprofile mem.out]
+//	experiments [-quick] [-run table1,fig01,...|all] [-j N] [-cores N]
+//	            [-simpoint] [-simpoint-interval N] [-ckpt-cache-dir DIR]
+//	            [-o out.txt] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -cores caps the multicore guest scaling sweep (fig16): each cell builds
 // an N-core SE guest with per-core L1s/TLBs behind a MESI-style directory
-// at the shared L2 (DESIGN.md §14); 0 keeps the default 1/2/4 sweep.
+// at the shared L2 (DESIGN.md §13); 0 keeps the default 1/2/4 sweep.
 //
 // -simpoint switches the sweep-shaped figures (10, 12, 13) to SimPoint-style
 // sampled simulation (see DESIGN.md §12): profile once on the Atomic model,
@@ -27,22 +26,8 @@
 // which is how the hot-path work in internal/uarch, internal/hostmodel and
 // internal/mem is measured before and after. Profiles are flushed and
 // closed via defer on every exit path, including experiment failures, so a
-// failing run still yields a usable profile. Goroutines carry pprof labels
-// (cosim-stage = experiment-worker / guest-producer / uarch-consumer), so
-// `go tool pprof -tagfocus` attributes time to pipeline stages.
-//
-// -pipeline controls the in-session producer/consumer split (see DESIGN.md
-// §10): every co-simulation runs its guest simulator + trace synthesis and
-// its host uarch model on separate goroutines coupled by a batched SPSC
-// ring. Output is byte-identical in every mode; "auto" (default) enables
-// it when GOMAXPROCS > 1. See EXPERIMENTS.md for the full flag reference.
-//
-// -shards controls the third parallelism axis: sharded per-domain event
-// queues inside each guest simulation (DESIGN.md §13) — the CPU complex and
-// the DRAM controller advance on separate goroutines under a conservative
-// quantum barrier. Output is byte-identical at every shard count; "auto"
-// enables two shards when GOMAXPROCS >= 4, and the default is "off" because
-// job-level parallelism (-j) already saturates small hosts.
+// failing run still yields a usable profile. See EXPERIMENTS.md for the full
+// flag reference.
 //
 // Each experiment prints an aligned table whose rows mirror the series of
 // the corresponding figure, plus notes comparing the measured shape with the
@@ -50,11 +35,12 @@
 //
 // -j bounds how many simulation runs execute concurrently (default
 // GOMAXPROCS): experiments fan out against each other and the independent
-// runs inside each experiment fan out too, all on one shared pool. The
-// report on stdout (and -o) is byte-identical for every -j value — results
-// are collected in cell order and per-run seeds derive from (experiment id,
-// cell index) — so only timing, which is inherently nondeterministic, goes
-// to stderr.
+// runs inside each experiment fan out too, all on one shared pool. It is the
+// only parallelism: each simulation runs on one goroutine with one event
+// queue (DESIGN.md §10). The report on stdout (and -o) is byte-identical for
+// every -j value — results are collected in cell order and per-run seeds
+// derive from (experiment id, cell index) — so only timing, which is
+// inherently nondeterministic, goes to stderr.
 package main
 
 import (
@@ -65,10 +51,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
-	"gem5prof/internal/core"
 	"gem5prof/internal/experiments"
 )
 
@@ -82,8 +66,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "use reduced workload sets and problem sizes")
 	runList := flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulation runs (output is identical for any value)")
-	pipeline := flag.String("pipeline", "auto", "in-session producer/consumer pipeline: auto, on, or off (output is identical in every mode)")
-	shards := flag.String("shards", "off", "per-domain event-queue sharding inside each simulation: auto, off, or a shard count (output is identical in every mode)")
 	cores := flag.Int("cores", 0, "cap the multicore scaling sweep (fig16) at this guest core count (0 = default 1/2/4)")
 	simPoint := flag.Bool("simpoint", false, "sample the sweep figures (10, 12, 13) via SimPoint-style phase-representative intervals")
 	simPointInterval := flag.Uint64("simpoint-interval", 0, "override the SimPoint profiling interval in committed instructions (0 = harness default)")
@@ -92,37 +74,6 @@ func run() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
-
-	mode, ok := core.ParsePipelineMode(*pipeline)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "invalid -pipeline %q (want auto, on, or off)\n", *pipeline)
-		return 2
-	}
-	core.SetDefaultPipeline(mode)
-
-	smode, ok := core.ParseShardMode(*shards)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "invalid -shards %q (want auto, off, or a shard count)\n", *shards)
-		return 2
-	}
-	core.SetDefaultShards(smode)
-
-	// Log each distinct effective shard layout once: -shards is a pure
-	// performance knob, so the only interesting fact is what the request
-	// actually resolved to (clamps included), not one line per simulation.
-	var (
-		shardLogMu   sync.Mutex
-		shardLogSeen = map[string]bool{}
-	)
-	core.SetDefaultShardLog(func(line string) {
-		shardLogMu.Lock()
-		defer shardLogMu.Unlock()
-		if shardLogSeen[line] {
-			return
-		}
-		shardLogSeen[line] = true
-		fmt.Fprintln(os.Stderr, line)
-	})
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -24,7 +24,7 @@ func main() {
 	workload := flag.String("workload", "sieve", "workload name (see -list)")
 	scale := flag.Int("scale", 0, "problem size (0 = workload default)")
 	bootExit := flag.Bool("boot-exit", false, "FS mode: boot the kernel and exit")
-	numCPUs := flag.Int("ncpus", 1, "simulated cores (FS mode)")
+	numCPUs := flag.Int("ncpus", 1, "simulated cores, 1-64 (SE: threads dispatched by spawn; FS: secondary harts park)")
 	ideal := flag.Bool("ideal-mem", false, "disable the cache model")
 	guestTLBs := flag.Bool("guest-tlbs", false, "insert guest iTLB/dTLB in front of the L1s")
 	stats := flag.Bool("stats", false, "dump the full statistics registry")
@@ -46,7 +46,7 @@ func main() {
 		Workload:    *workload,
 		Scale:       *scale,
 		BootExit:    *bootExit,
-		NumCPUs:     *numCPUs,
+		Cores:       *numCPUs,
 		IdealMemory: *ideal,
 		GuestTLBs:   *guestTLBs,
 	}

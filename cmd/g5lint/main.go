@@ -16,10 +16,9 @@
 //	                                 fail on stale ones (annotations whose
 //	                                 diagnostic no longer fires)
 //
-// Analyzers: detmap, nowallclock, pastsched, atomicring, statreg,
-// sinkdiscipline, shardpost, detflow, floatorder, shardescape; see
-// internal/lint for what each enforces and for the //lint:deterministic
-// and //lint:allow escape hatches.
+// Analyzers: detmap, nowallclock, pastsched, statreg, detflow,
+// floatorder; see internal/lint for what each enforces and for the
+// //lint:deterministic and //lint:allow escape hatches.
 package main
 
 import (

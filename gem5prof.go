@@ -115,14 +115,6 @@ type (
 	Profiler = profiler.Profiler
 	// HugePageMode selects base/THP/EHP code backing (Figs. 10-11).
 	HugePageMode = uarch.HugePageMode
-	// PipelineMode selects serial or producer/consumer (ring-decoupled)
-	// execution of one co-simulation; statistics are bit-identical either
-	// way (DESIGN.md §10).
-	PipelineMode = core.PipelineMode
-	// ShardMode selects sharded per-domain event-queue execution inside
-	// one guest simulation; statistics are bit-identical at every shard
-	// count (DESIGN.md §13).
-	ShardMode = core.ShardMode
 )
 
 // Huge-page modes for the host text segment.
@@ -130,41 +122,6 @@ const (
 	PagesBase = uarch.PagesBase
 	PagesTHP  = uarch.PagesTHP
 	PagesEHP  = uarch.PagesEHP
-)
-
-// Pipeline modes for SessionConfig.Pipeline.
-const (
-	// PipelineAuto defers to SetDefaultPipeline, then to GOMAXPROCS>1.
-	PipelineAuto = core.PipelineAuto
-	// PipelineOff forces the serial co-simulation path.
-	PipelineOff = core.PipelineOff
-	// PipelineOn forces the pipelined path even on one processor.
-	PipelineOn = core.PipelineOn
-)
-
-// Shard modes for GuestConfig.Shards.
-const (
-	// ShardAuto enables sharding when GOMAXPROCS >= 4.
-	ShardAuto = core.ShardAuto
-	// ShardDefault (the zero value) defers to SetDefaultShards.
-	ShardDefault = core.ShardDefault
-	// ShardSerial forces the single-queue path.
-	ShardSerial = core.ShardSerial
-)
-
-var (
-	// SetDefaultPipeline sets the process-wide pipeline mode used when
-	// SessionConfig.Pipeline is PipelineAuto (the -pipeline flag of
-	// cmd/experiments).
-	SetDefaultPipeline = core.SetDefaultPipeline
-	// ParsePipelineMode parses "auto", "on" or "off".
-	ParsePipelineMode = core.ParsePipelineMode
-	// SetDefaultShards sets the process-wide shard mode used when
-	// GuestConfig.Shards is ShardDefault (the -shards flag of
-	// cmd/experiments).
-	SetDefaultShards = core.SetDefaultShards
-	// ParseShardMode parses "auto", "off", or a shard count.
-	ParseShardMode = core.ParseShardMode
 )
 
 // RunSession runs one co-simulation: the guest simulator executing on a

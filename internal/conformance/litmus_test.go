@@ -126,16 +126,15 @@ func TestLitmusBattery(t *testing.T) {
 	}
 }
 
-// TestLitmusDeterministicAndSharded pins the multicore determinism
-// contract on the litmus rig: repeated runs are bit-identical (outcome,
-// ticks, and the full statistics dump), and a sharded event queue changes
-// none of it.
-func TestLitmusDeterministicAndSharded(t *testing.T) {
+// TestLitmusDeterministic pins the multicore determinism contract on the
+// litmus rig: repeated runs are bit-identical (outcome, ticks, and the full
+// statistics dump).
+func TestLitmusDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 17, 64} {
 		for _, cores := range []int{2, 4} {
 			lt := GenLitmus(seed, cores)
 			for _, model := range Models {
-				serial, err := RunLitmus(lt, model, cores)
+				first, err := RunLitmus(lt, model, cores)
 				if err != nil {
 					t.Fatalf("seed %d cores=%d %s: %v", seed, cores, model, err)
 				}
@@ -143,32 +142,32 @@ func TestLitmusDeterministicAndSharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sharded, err := RunLitmusSharded(lt, model, cores, 2)
-				if err != nil {
-					t.Fatal(err)
+				if again.Outcome != first.Outcome || again.Ticks != first.Ticks {
+					t.Errorf("seed %d cores=%d %s: rerun outcome/ticks %#x@%d != first %#x@%d",
+						seed, cores, model, again.Outcome, again.Ticks, first.Outcome, first.Ticks)
 				}
-				// 1+cores un-fuses every extra core domain onto its own
-				// affine shard (the widest per-core layout for this guest).
-				perCore, err := RunLitmusSharded(lt, model, cores, 1+cores)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for run, r := range map[string]*LitmusResult{
-					"rerun": again, "shards=2": sharded,
-					fmt.Sprintf("shards=%d", 1+cores): perCore,
-				} {
-					if r.Outcome != serial.Outcome || r.Ticks != serial.Ticks {
-						t.Errorf("seed %d cores=%d %s %s: outcome/ticks %#x@%d != serial %#x@%d",
-							seed, cores, model, run, r.Outcome, r.Ticks, serial.Outcome, serial.Ticks)
-					}
-					if d, s := litStatDump(r), litStatDump(serial); d != s {
-						t.Errorf("seed %d cores=%d %s %s: stats diverge: %s",
-							seed, cores, model, run, firstStatDiff(d, s))
-					}
+				if d, s := litStatDump(again), litStatDump(first); d != s {
+					t.Errorf("seed %d cores=%d %s: rerun stats diverge: %s",
+						seed, cores, model, firstStatDiff(d, s))
 				}
 			}
 		}
 	}
+}
+
+// firstStatDiff returns the first differing line pair of two stat dumps.
+func firstStatDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	n := len(gl)
+	if len(wl) < n {
+		n = len(wl)
+	}
+	for i := 0; i < n; i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("%q (first run %q)", gl[i], wl[i])
+		}
+	}
+	return fmt.Sprintf("dump length %d vs %d", len(gl), len(wl))
 }
 
 // TestLitmusReproWriter plants a violation (an artificially emptied allowed

@@ -105,16 +105,6 @@ func (a memAdapter) HostAddr(addr uint32) uint64                 { return a.m.Ho
 // hierarchy) and captures its Result. commit, when non-nil, additionally
 // observes every committed (pc, inst) pair.
 func RunModel(model string, prog *isa.Program, caches bool, commit func(pc uint32, in isa.Inst)) (*Result, error) {
-	return RunModelSharded(model, prog, caches, 1, commit)
-}
-
-// RunModelSharded is RunModel on sharded per-domain event queues (shards < 2
-// stays serial; the layout clamps counts above 2). A cache-less rig has no
-// memory domain to shard, so it stays serial regardless. Every field of the
-// Result — architectural state, trace hash, ticks, statistics — must be
-// identical at every shard count; the sharded differential suites diff it
-// against the serial run over the whole conformance corpus.
-func RunModelSharded(model string, prog *isa.Program, caches bool, shards int, commit func(pc uint32, in isa.Inst)) (*Result, error) {
 	sys := sim.NewSystem(7)
 	gm := guest.NewMemory(memBytes)
 	if err := gm.Load(prog); err != nil {
@@ -122,15 +112,7 @@ func RunModelSharded(model string, prog *isa.Program, caches bool, shards int, c
 	}
 	cfg := cpu.Config{Name: "cpu0", Mem: memAdapter{gm}, Env: &exitEnv{sys}}
 	if caches {
-		hcfg := mem.DefaultHierarchyConfig("sys")
-		if shards >= 2 {
-			sys.EnableSharding(sim.ShardConfig{
-				Shards:       shards,
-				Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
-				BusLookahead: sim.QuantumFor(hcfg.Bus.Latency),
-			})
-		}
-		hier := mem.NewHierarchy(sys, hcfg)
+		hier := mem.NewHierarchy(sys, mem.DefaultHierarchyConfig("sys"))
 		cfg.IPort, cfg.DPort = hier.L1I, hier.L1D
 	}
 	var c cpu.CPU

@@ -71,12 +71,13 @@ func (g *GuestSystem) TakeCheckpoint() (*Checkpoint, error) {
 	if g.Cfg.CPU != Atomic {
 		return nil, fmt.Errorf("core: checkpoints require the Atomic CPU (got %s)", g.Cfg.CPU)
 	}
-	if g.Cfg.Cores > 1 {
+	if g.Cfg.Mode == SE && g.Cfg.Cores > 1 {
 		// The snapshot captures memory and per-core arch state but not
 		// the coherence directory or the sysemu thread table (join
-		// values, futex wait queues), so restoring a multicore guest
-		// would be silently lossy. Fail loudly instead.
-		return nil, fmt.Errorf("core: checkpoints are single-core only (directory and thread state are not captured)")
+		// values, futex wait queues), so restoring a multicore SE guest
+		// would be silently lossy. Fail loudly instead. (FS harts past
+		// the first only park, so they checkpoint like any other core.)
+		return nil, fmt.Errorf("core: SE checkpoints are single-core only (directory and thread state are not captured)")
 	}
 	for _, c := range g.CPUs {
 		if c.Core().Waiting() {
@@ -149,8 +150,8 @@ func (c *Checkpoint) Validate() error {
 // tracer/host platform. The core count must match.
 func RestoreGuest(cfg GuestConfig, ck *Checkpoint, tracer sim.Tracer) (*GuestSystem, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NumCPUs != len(ck.Arch) {
-		return nil, fmt.Errorf("core: checkpoint has %d cores, config wants %d", len(ck.Arch), cfg.NumCPUs)
+	if cfg.Cores != len(ck.Arch) {
+		return nil, fmt.Errorf("core: checkpoint has %d cores, config wants %d", len(ck.Arch), cfg.Cores)
 	}
 	// Carry the workload identity so the restored run validates against the
 	// same reference checksum.

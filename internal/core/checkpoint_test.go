@@ -243,7 +243,7 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 func TestRestoreCoreCountMismatch(t *testing.T) {
 	data, _ := ffAndCheckpoint(t, "sieve", 1024, 2*sim.Microsecond)
 	ck, _ := core.DecodeCheckpoint(data)
-	if _, err := core.RestoreGuest(core.GuestConfig{CPU: core.Atomic, NumCPUs: 4, Mode: core.FS, BootExit: true}, ck, sim.NewNopTracer()); err == nil {
+	if _, err := core.RestoreGuest(core.GuestConfig{CPU: core.Atomic, Cores: 4, Mode: core.FS, BootExit: true}, ck, sim.NewNopTracer()); err == nil {
 		t.Fatal("core-count mismatch accepted")
 	}
 }

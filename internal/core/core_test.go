@@ -8,6 +8,7 @@ import (
 	"gem5prof/internal/core"
 	"gem5prof/internal/hostmodel"
 	"gem5prof/internal/platform"
+	"gem5prof/internal/sim"
 )
 
 func TestRunGuestDefaults(t *testing.T) {
@@ -35,6 +36,41 @@ func TestRunGuestErrors(t *testing.T) {
 	}
 	if _, err := core.RunGuest(core.GuestConfig{Mode: core.FS, Workload: "nope"}); err == nil {
 		t.Fatal("unknown FS workload accepted")
+	}
+}
+
+// TestCoresBounds pins the one core-count knob: 0 defaults to one core,
+// MaxCores builds, and anything past it (or negative) is rejected at build
+// time in both SE and FS mode.
+func TestCoresBounds(t *testing.T) {
+	for _, mode := range []core.Mode{core.SE, core.FS} {
+		for _, c := range []struct {
+			cores, want int
+			ok          bool
+		}{
+			{0, 1, true},
+			{core.MaxCores, core.MaxCores, true},
+			{core.MaxCores + 1, 0, false},
+			{-1, 0, false},
+		} {
+			cfg := core.GuestConfig{CPU: core.Timing, Mode: mode, Workload: "sieve", Cores: c.cores}
+			if mode == core.FS {
+				cfg.BootExit = true
+			}
+			g, err := core.BuildGuest(cfg, sim.NewNopTracer())
+			if !c.ok {
+				if err == nil {
+					t.Errorf("%s cores=%d: built, want an error", mode, c.cores)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s cores=%d: %v", mode, c.cores, err)
+			}
+			if len(g.CPUs) != c.want {
+				t.Errorf("%s cores=%d: %d CPUs, want %d", mode, c.cores, len(g.CPUs), c.want)
+			}
+		}
 	}
 }
 

@@ -51,15 +51,14 @@ type GuestConfig struct {
 	// BootKBs overrides how much memory the FS kernel initializes at boot
 	// (scales boot length); 0 uses the kernel default.
 	BootKBs int
-	// NumCPUs is the simulated core count (FS only; extra harts park).
-	NumCPUs int
-	// Cores is the SE-mode multicore guest core count. Core 0 enters the
-	// workload at its entry point; cores 1..Cores-1 start parked and are
-	// dispatched by the SysSpawn threading syscall (internal/sysemu). More
-	// than one core puts a MESI directory controller between the per-core
-	// L1 data caches and the shared L2 and enables the threading syscall
-	// surface; at the default of 1 the build is bit-identical to the
-	// single-core path. FS mode uses NumCPUs instead.
+	// Cores is the simulated core count, 1 to MaxCores; 0 means 1. In SE
+	// mode core 0 enters the workload at its entry point; cores
+	// 1..Cores-1 start parked and are dispatched by the SysSpawn threading
+	// syscall (internal/sysemu). More than one SE core puts a MESI
+	// directory controller between the per-core L1 data caches and the
+	// shared L2 and enables the threading syscall surface. In FS mode every
+	// core is a kernel hart; the secondaries park. At 1 the build is the
+	// single-core machine.
 	Cores int
 	// MemBytes is guest DRAM size (default 16 MiB, like the paper's small
 	// simulated memories relative to the host).
@@ -77,16 +76,8 @@ type GuestConfig struct {
 	Seed int64
 	// CalendarQueue selects the alternative event-queue backend (A5).
 	CalendarQueue bool
-	// Shards selects sharded per-domain event-queue execution (bit-identical
-	// at every shard count; see ShardMode). The zero value defers to the
-	// process-wide default (SetDefaultShards).
+	// Deprecated: Shards is ignored. Every guest runs on one event queue.
 	Shards ShardMode
-	// ShardLog, when non-nil, receives one line describing the effective
-	// shard layout at build time — requested vs clamped counts and the
-	// domain placement (sim.ShardInfo.String). It is a visibility hook
-	// only and never affects modeled outcomes; it is ignored (like Shards)
-	// on configs that force the serial path.
-	ShardLog func(string)
 	// ExecTrace, when non-nil, receives one line per committed instruction
 	// on every core (gem5's --debug-flags=Exec).
 	ExecTrace io.Writer
@@ -106,17 +97,8 @@ func (c *GuestConfig) withDefaults() GuestConfig {
 	if out.Mode == "" {
 		out.Mode = SE
 	}
-	if out.NumCPUs <= 0 {
-		out.NumCPUs = 1
-	}
-	if out.Cores <= 0 {
+	if out.Cores == 0 {
 		out.Cores = 1
-	}
-	if out.Mode == SE && out.Cores > 1 {
-		// The builder sizes the CPU array and memory system off NumCPUs;
-		// folding Cores into it here also makes the checkpoint-cache key
-		// (simpoint.ConfigPrefix's ncpu field) distinguish core counts.
-		out.NumCPUs = out.Cores
 	}
 	if out.MemBytes == 0 {
 		out.MemBytes = 16 * 1024 * 1024
@@ -129,6 +111,10 @@ func (c *GuestConfig) withDefaults() GuestConfig {
 	}
 	return out
 }
+
+// MaxCores is the largest guest core count: the coherence directory tracks
+// sharers in a 64-bit mask.
+const MaxCores = 64
 
 // GuestResult reports one completed guest simulation.
 type GuestResult struct {
@@ -186,13 +172,14 @@ func BuildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, error) {
 // instead.
 func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error) {
 	cfg = cfg.withDefaults()
-	newQueue := func() sim.Queue {
-		if cfg.CalendarQueue {
-			return sim.NewCalendarQueue(1024, sim.Tick(cfg.ClockPeriod))
-		}
-		return sim.NewHeapQueue()
+	if cfg.Cores < 1 || cfg.Cores > MaxCores {
+		return nil, 0, fmt.Errorf("core: Cores %d outside [1, %d]", cfg.Cores, MaxCores)
 	}
-	sys := sim.NewSystemWith(newQueue(), tracer, cfg.Seed)
+	var queue sim.Queue = sim.NewHeapQueue()
+	if cfg.CalendarQueue {
+		queue = sim.NewCalendarQueue(1024, sim.Tick(cfg.ClockPeriod))
+	}
+	sys := sim.NewSystemWith(queue, tracer, cfg.Seed)
 	ram := guest.NewMemory(cfg.MemBytes)
 	ram.SetHostBase(tracer.AllocData("guest.ram", uint64(cfg.MemBytes)))
 
@@ -204,10 +191,6 @@ func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error
 		if cfg.BootExit {
 			return nil, 0, fmt.Errorf("core: boot-exit requires FS mode")
 		}
-	} else if cfg.Cores > 1 {
-		return nil, 0, fmt.Errorf("core: Cores is SE-only; FS guests size with NumCPUs")
-	}
-	if cfg.Mode == SE {
 		spec, ok := workloads.ByName(cfg.Workload)
 		if !ok {
 			return nil, 0, fmt.Errorf("core: unknown workload %q", cfg.Workload)
@@ -227,7 +210,7 @@ func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error
 		g.expect, g.hasRef = expect, true
 	} else {
 		kcfg := workloads.DefaultKernelConfig()
-		kcfg.Harts = cfg.NumCPUs
+		kcfg.Harts = cfg.Cores
 		if cfg.BootKBs > 0 {
 			kcfg.BootKBs = cfg.BootKBs
 		}
@@ -276,10 +259,7 @@ func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error
 		fmem = g.FS.Mem
 	}
 
-	// Memory system. Sharding must be enabled before the hierarchy is built
-	// so the DRAM controller constructs against the memory shard's view; the
-	// quantum is the DRAM row-hit latency — no cross-domain response can
-	// undercut it, which is what makes the barrier conservative.
+	// Memory system.
 	if !cfg.IdealMemory {
 		hcfg := mem.DefaultHierarchyConfig("sys")
 		if cfg.Hierarchy != nil {
@@ -288,42 +268,20 @@ func buildGuest(cfg GuestConfig, tracer sim.Tracer) (*GuestSystem, uint32, error
 		if cfg.GuestTLBs {
 			hcfg.GuestTLBs = true
 		}
-		if cfg.Cores > 1 {
+		if cfg.Mode == SE && cfg.Cores > 1 {
 			hcfg.Directory = true
 		}
-		shardLog := resolveShardLog(cfg)
-		if shards := resolveShards(cfg); shards > 1 {
-			// The only CPU-side events that land on the memory shard are
-			// the bus's forward events, scheduled at least the bus latency
-			// in the future — the group→mem edge floor. A zero-latency bus
-			// override leaves the edge unfloored (safe, just conservative).
-			busLook := sim.Tick(0)
-			if hcfg.Bus.Latency > 0 {
-				busLook = sim.QuantumFor(hcfg.Bus.Latency)
-			}
-			sys.EnableSharding(sim.ShardConfig{
-				Shards:       shards,
-				Quantum:      sim.QuantumFor(hcfg.DRAM.RowHitLatency),
-				BusLookahead: busLook,
-				NewQueue:     newQueue,
-				Cores:        cfg.NumCPUs,
-				Log:          shardLog,
-			})
-		} else if shardLog != nil {
-			shardLog("sharding: serial (single queue)")
-		}
-		g.Hier = mem.NewMultiHierarchy(sys, hcfg, cfg.NumCPUs)
+		g.Hier = mem.NewMultiHierarchy(sys, hcfg, cfg.Cores)
 	}
 
 	// CPUs.
-	for i := 0; i < cfg.NumCPUs; i++ {
+	for i := 0; i < cfg.Cores; i++ {
 		ccfg := cpu.Config{
 			Name:        fmt.Sprintf("cpu%d", i),
 			ClockPeriod: cfg.ClockPeriod,
 			Mem:         fmem,
 			Env:         env,
 			HartID:      uint32(i),
-			Domain:      sim.DomainForCore(i),
 			ExecTrace:   cfg.ExecTrace,
 		}
 		if g.Hier != nil {

@@ -285,7 +285,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("accepted checkpoint fails to re-encode: %v", err)
 		}
 		if _, err := core.RestoreGuest(core.GuestConfig{
-			CPU: core.Atomic, NumCPUs: len(ck.Arch), Mode: ck.Mode,
+			CPU: core.Atomic, Cores: len(ck.Arch), Mode: ck.Mode,
 			Workload: ck.Workload, Scale: ck.Scale,
 		}, ck, sim.NewNopTracer()); err != nil {
 			// Restore may reject for config reasons (e.g. unknown

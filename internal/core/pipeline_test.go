@@ -28,12 +28,12 @@ func fullStatDump(r *SessionResult) string {
 	return b.String()
 }
 
-// TestPipelineDifferential is the tentpole's correctness proof: for every
-// workload × host-config cell, the pipelined co-simulation (producer and
-// consumer goroutines decoupled by the batch ring) must produce a stat dump
-// byte-identical to the serial path's. Strict FIFO delivery through the
-// SPSC ring means the Machine sees the exact event sequence the serial sink
-// saw, so every float lands bit-for-bit in the same place.
+// TestPipelineDifferential pins that the deprecated SessionConfig.Pipeline
+// changes nothing: for every workload × host-config cell, a session asking
+// for PipelineOn produces a stat dump byte-identical to one asking for
+// PipelineOff. Both run the guest, the code model and the Machine on one
+// goroutine, so the dumps also prove that two co-simulations of one cell
+// agree bit for bit.
 func TestPipelineDifferential(t *testing.T) {
 	cells := []struct {
 		workload string
@@ -67,16 +67,16 @@ func TestPipelineDifferential(t *testing.T) {
 				}
 				return fullStatDump(res)
 			}
-			serial := run(PipelineOff)
-			pipelined := run(PipelineOn)
-			if serial != pipelined {
-				t.Fatalf("stat dumps differ between serial and pipelined runs:\n%s",
-					firstDiff(serial, pipelined))
+			off := run(PipelineOff)
+			on := run(PipelineOn)
+			if off != on {
+				t.Fatalf("stat dumps differ between Pipeline off and on:\n%s",
+					firstDiff(off, on))
 			}
 			// Guard against a vacuous pass: the dump must actually carry
 			// modeled activity.
-			if !strings.Contains(serial, "stat ") || strings.Contains(serial, "Cycles:0") {
-				t.Fatalf("suspiciously empty stat dump:\n%.400s", serial)
+			if !strings.Contains(off, "stat ") || strings.Contains(off, "Cycles:0") {
+				t.Fatalf("suspiciously empty stat dump:\n%.400s", off)
 			}
 		})
 	}
@@ -91,72 +91,48 @@ func firstDiff(a, b string) string {
 	}
 	for i := 0; i < n; i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  serial:    %s\n  pipelined: %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\n  first:  %s\n  second: %s", i+1, al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("dumps differ in length: %d vs %d lines", len(al), len(bl))
 }
 
-// TestPipelineModeResolution pins the auto-resolution rules: profiling
-// always forces serial; explicit on/off win over the process default; auto
-// defers to the default and then to GOMAXPROCS.
+// TestPipelineModeResolution pins that every deprecated PipelineMode value
+// resolves to the one serial co-simulation, with and without the function
+// profiler: each (mode, profile) session of a cell reproduces the
+// PipelineAuto session's stat dump, and the profiler is attached exactly
+// when Profile is set.
 func TestPipelineModeResolution(t *testing.T) {
-	defer SetDefaultPipeline(PipelineAuto)
-
-	multi := runtime.GOMAXPROCS(0) > 1
-	cases := []struct {
-		mode    PipelineMode
-		def     PipelineMode
-		profile bool
-		want    bool
-	}{
-		{PipelineOn, PipelineAuto, false, true},
-		{PipelineOff, PipelineAuto, false, false},
-		{PipelineOn, PipelineOff, false, true},   // per-session beats default
-		{PipelineOff, PipelineOn, false, false},  // per-session beats default
-		{PipelineAuto, PipelineOn, false, true},  // default fills in auto
-		{PipelineAuto, PipelineOff, false, false},
-		{PipelineAuto, PipelineAuto, false, multi}, // pure auto: GOMAXPROCS
-		{PipelineOn, PipelineAuto, true, false},    // profiler forces serial
-		{PipelineAuto, PipelineOn, true, false},
-	}
-	for i, c := range cases {
-		SetDefaultPipeline(c.def)
-		if got := c.mode.enabled(c.profile); got != c.want {
-			t.Errorf("case %d: mode=%v default=%v profile=%v: enabled=%v, want %v",
-				i, c.mode, c.def, c.profile, got, c.want)
+	host := platform.IntelXeon()
+	guest := GuestConfig{CPU: Timing, Mode: SE, Workload: "sieve", Scale: 512}
+	for _, profile := range []bool{false, true} {
+		var want string
+		for _, mode := range []PipelineMode{PipelineAuto, PipelineOff, PipelineOn} {
+			res, err := RunSession(SessionConfig{
+				Guest: guest, Host: host, Profile: profile, Pipeline: mode,
+			})
+			if err != nil {
+				t.Fatalf("mode=%v profile=%v: %v", mode, profile, err)
+			}
+			if (res.Prof != nil) != profile {
+				t.Errorf("mode=%v profile=%v: profiler attached = %v", mode, profile, res.Prof != nil)
+			}
+			dump := fullStatDump(res)
+			if mode == PipelineAuto {
+				want = dump
+				continue
+			}
+			if dump != want {
+				t.Errorf("mode=%v profile=%v: stat dump differs from PipelineAuto:\n%s",
+					mode, profile, firstDiff(want, dump))
+			}
 		}
 	}
 }
 
-// TestPipelineParseMode pins the flag spellings.
-func TestPipelineParseMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		mode PipelineMode
-		ok   bool
-	}{
-		{"auto", PipelineAuto, true}, {"", PipelineAuto, true},
-		{"on", PipelineOn, true}, {"off", PipelineOff, true},
-		{"1", PipelineOn, true}, {"0", PipelineOff, true},
-		{"bogus", PipelineAuto, false},
-	} {
-		mode, ok := ParsePipelineMode(c.in)
-		if mode != c.mode || ok != c.ok {
-			t.Errorf("ParsePipelineMode(%q) = %v,%v want %v,%v", c.in, mode, ok, c.mode, c.ok)
-		}
-	}
-	for _, m := range []PipelineMode{PipelineAuto, PipelineOn, PipelineOff} {
-		back, ok := ParsePipelineMode(m.String())
-		if !ok || back != m {
-			t.Errorf("round-trip %v -> %q -> %v,%v", m, m.String(), back, ok)
-		}
-	}
-}
-
-// TestPipelineErrorPath checks a failing guest run still tears the
-// pipeline down (no goroutine leak, error surfaced) — the consumer must
-// not be left blocked on an open ring.
+// TestPipelineErrorPath checks that a failing session surfaces its error
+// and that neither a failing nor a completed session leaves a goroutine
+// behind.
 func TestPipelineErrorPath(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, err := RunSession(SessionConfig{
@@ -167,8 +143,6 @@ func TestPipelineErrorPath(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
-	// A failing BuildGuest never starts the consumer; also exercise a run
-	// that starts and completes, then compare goroutine counts loosely.
 	if _, err := RunSession(SessionConfig{
 		Guest:    GuestConfig{CPU: Timing, Mode: SE, Workload: "sieve", Scale: 512},
 		Host:     platform.IntelXeon(),

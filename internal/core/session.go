@@ -1,106 +1,16 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"io"
-	"runtime"
-	"runtime/pprof"
-	"sync/atomic"
 
 	"gem5prof/internal/hostmodel"
 	"gem5prof/internal/platform"
 	"gem5prof/internal/profiler"
-	"gem5prof/internal/ring"
 	"gem5prof/internal/sim"
 	"gem5prof/internal/uarch"
 )
-
-// PipelineMode selects whether a co-simulation runs its two stages — the
-// guest simulator + hostmodel trace synthesis (producer) and the
-// uarch.Machine (consumer) — on one goroutine or two, decoupled by a
-// batched SPSC ring (internal/ring). Strict FIFO delivery makes the
-// modeled statistics bit-identical either way (see DESIGN.md §10), so the
-// mode is purely a performance knob.
-type PipelineMode int
-
-// Pipeline modes.
-const (
-	// PipelineAuto (the zero value) defers to the process-wide default set
-	// by SetDefaultPipeline; if that too is auto, the pipeline is on
-	// exactly when GOMAXPROCS > 1.
-	PipelineAuto PipelineMode = iota
-	// PipelineOff forces the serial path (the pre-pipeline behaviour).
-	PipelineOff
-	// PipelineOn forces the pipelined path even on a single-processor
-	// runtime (useful for differential tests; on one core it only costs).
-	PipelineOn
-)
-
-// String renders the mode as its flag spelling.
-func (m PipelineMode) String() string {
-	switch m {
-	case PipelineOff:
-		return "off"
-	case PipelineOn:
-		return "on"
-	default:
-		return "auto"
-	}
-}
-
-// ParsePipelineMode parses "auto", "on" or "off".
-func ParsePipelineMode(s string) (PipelineMode, bool) {
-	switch s {
-	case "auto", "":
-		return PipelineAuto, true
-	case "on", "true", "1":
-		return PipelineOn, true
-	case "off", "false", "0":
-		return PipelineOff, true
-	}
-	return PipelineAuto, false
-}
-
-// defaultPipeline is the process-wide mode that PipelineAuto sessions
-// resolve against (cmd/experiments' -pipeline flag sets it once at
-// startup). Atomic so concurrent sessions may read it freely.
-var defaultPipeline atomic.Int32
-
-// SetDefaultPipeline sets the process-wide pipeline mode used by sessions
-// whose SessionConfig.Pipeline is PipelineAuto.
-func SetDefaultPipeline(m PipelineMode) { defaultPipeline.Store(int32(m)) }
-
-// DefaultPipeline returns the process-wide pipeline mode.
-func DefaultPipeline() PipelineMode { return PipelineMode(defaultPipeline.Load()) }
-
-// enabled resolves the mode for one session. The function profiler reads
-// the machine's running cycle count synchronously from the producer side
-// (profiler.Enter/Leave → Machine.Cycles), which a decoupled consumer
-// cannot serve, so Profile always forces the serial path.
-func (m PipelineMode) enabled(profile bool) bool {
-	if profile {
-		return false
-	}
-	if m == PipelineAuto {
-		m = DefaultPipeline()
-	}
-	switch m {
-	case PipelineOn:
-		return true
-	case PipelineOff:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) > 1
-	}
-}
-
-// ringSlots is the per-session ring capacity in batches. 8 slots of 16 KiB
-// batches bound the producer's lead at 128 KiB of trace — enough slack
-// that neither side parks in steady state, small enough to stay resident
-// in a shared L2/LLC while crossing cores.
-const ringSlots = 8
 
 // SessionConfig describes one co-simulation: a guest g5 simulation executed
 // on a modeled host platform — the paper's unit of measurement.
@@ -114,27 +24,11 @@ type SessionConfig struct {
 	// SizeFactor < 1 models the -O3 build (Fig. 12).
 	HostCode hostmodel.Config
 	// Profile attaches the function profiler (Fig. 15). It adds overhead,
-	// so it is off by default. Profiling forces PipelineOff: the profiler
-	// reads the host machine's cycle counter synchronously at every
-	// function entry/exit.
+	// so it is off by default.
 	Profile bool
-	// Pipeline selects serial or producer/consumer execution of the
-	// co-simulation (bit-identical statistics either way). The zero value
-	// is PipelineAuto.
+	// Deprecated: Pipeline is ignored. Every co-simulation runs the guest,
+	// the trace synthesis and the host machine on one goroutine.
 	Pipeline PipelineMode
-}
-
-// guestConfig returns the session's guest config with session-level
-// constraints applied: profiling forces the single-queue path because the
-// profiler reads the host machine's cycle counter synchronously at every
-// function entry/exit, which the sharded engine's deferred trace replay
-// cannot serve. (It forces PipelineOff for the same reason.)
-func (c SessionConfig) guestConfig() GuestConfig {
-	g := c.Guest
-	if c.Profile {
-		g.Shards = ShardSerial
-	}
-	return g
 }
 
 // SessionResult is one completed co-simulation.
@@ -173,30 +67,22 @@ func DeriveSeed(experiment string, cell int) int64 {
 	return s
 }
 
-// cosim bundles the host side of one co-simulation — the modeled machine,
-// the synthetic simulator binary, and (when pipelined) the ring stages —
-// together with the guest it traces. RunSession and RunIntervalSession
-// share this assembly; only how (and how much of) the guest runs differs.
+// cosim bundles the host side of one co-simulation — the modeled machine and
+// the synthetic simulator binary — together with the guest it traces.
+// RunSession and RunIntervalSession share this assembly; only how (and how
+// much of) the guest runs differs.
 type cosim struct {
-	cfg       SessionConfig
-	machine   *uarch.Machine
-	cm        *hostmodel.CodeModel
-	prof      *profiler.Profiler
-	enc       *hostmodel.RingSink
-	cons      *uarch.Consumer
-	guest     *GuestSystem
-	pipelined bool
+	machine *uarch.Machine
+	cm      *hostmodel.CodeModel
+	prof    *profiler.Profiler
+	guest   *GuestSystem
 }
 
-// newCosim builds the host machine and code model, constructs the guest via
-// build (BuildGuest for fresh runs, RestoreGuest for checkpoint resumes),
-// and hands the finished address map to the machine's TLBs.
-func newCosim(cfg SessionConfig, pipelined bool, build func(tr sim.Tracer) (*GuestSystem, error)) (*cosim, error) {
-	return newCosimOn(nil, cfg, pipelined, build)
-}
-
-// newCosimOn is newCosim with an optional previous cosim whose host side —
-// the modeled machine and the code model — is reused. IntervalRunner uses
+// newCosimOn builds the host machine and code model, constructs the guest
+// via build (BuildGuest for fresh runs, RestoreGuest for checkpoint
+// resumes), and hands the finished address map to the machine's TLBs. A
+// non-nil prev supplies a previous cosim whose host side — the modeled
+// machine and the code model — is reused instead. IntervalRunner uses
 // this so successive interval measurements of one cell keep the machine's
 // caches, TLBs and predictors warm (the way one long full run would) and
 // skip re-laying-out the synthetic simulator binary. The reused guest
@@ -204,10 +90,9 @@ func newCosim(cfg SessionConfig, pipelined bool, build func(tr sim.Tracer) (*Gue
 // back to the first build's layout, so the address map already handed to
 // the machine's TLBs stays correct; re-adding the same regions would push
 // lookups onto the slow overlapping-region path, hence the fresh guard.
-// Reuse implies the serial path (prev != nil requires pipelined false).
-func newCosimOn(prev *cosim, cfg SessionConfig, pipelined bool, build func(tr sim.Tracer) (*GuestSystem, error)) (*cosim, error) {
+func newCosimOn(prev *cosim, cfg SessionConfig, build func(tr sim.Tracer) (*GuestSystem, error)) (*cosim, error) {
 	if prev != nil {
-		cs := &cosim{cfg: cfg, machine: prev.machine, cm: prev.cm}
+		cs := &cosim{machine: prev.machine, cm: prev.cm}
 		// Rewind the replay state so this build's allocations and access
 		// patterns land on the first build's addresses — the ones the
 		// machine's map covers and its warm caches hold.
@@ -220,19 +105,7 @@ func newCosimOn(prev *cosim, cfg SessionConfig, pipelined bool, build func(tr si
 		return cs, nil
 	}
 	machine := uarch.NewMachine(platform.Contend(cfg.Host, cfg.Scenario))
-	cs := &cosim{cfg: cfg, machine: machine, pipelined: pipelined}
-
-	// Pipelined mode interposes a batch encoder between the code model and
-	// the machine; the machine then consumes the identical event stream on
-	// its own goroutine (uarch.Consumer), started only after the address
-	// map below is final.
-	var sink hostmodel.Sink = machine
-	if pipelined {
-		rg := ring.New(ringSlots)
-		cs.enc = hostmodel.NewRingSink(rg)
-		cs.cons = uarch.NewConsumer(machine, rg)
-		sink = cs.enc
-	}
+	cs := &cosim{machine: machine}
 
 	hc := cfg.HostCode
 	if hc.TextBase == 0 {
@@ -242,7 +115,7 @@ func newCosimOn(prev *cosim, cfg SessionConfig, pipelined bool, build func(tr si
 		}
 		hc = def
 	}
-	cs.cm = hostmodel.New(hc, sink)
+	cs.cm = hostmodel.New(hc, machine)
 
 	if cfg.Profile {
 		cs.prof = profiler.New(machine, cs.cm)
@@ -265,31 +138,6 @@ func newCosimOn(prev *cosim, cfg SessionConfig, pipelined bool, build func(tr si
 	return cs, nil
 }
 
-// run executes the guest through the session's pipeline arrangement.
-// runGuest is the producer body (normally cs.guest.Run).
-func (cs *cosim) run(runGuest func() (*GuestResult, error)) (*GuestResult, error) {
-	if !cs.pipelined {
-		return runGuest()
-	}
-	cs.cons.Start()
-	var gres *GuestResult
-	var err error
-	// Label the producer stage so -cpuprofile output splits guest
-	// simulation + trace synthesis from the consumer's uarch time.
-	pprof.Do(context.Background(),
-		pprof.Labels("cosim-stage", "guest-producer"),
-		func(context.Context) { gres, err = runGuest() })
-	// Flush-on-report barrier: publish the partial tail batch, close
-	// the ring, and wait for the consumer to apply everything — on the
-	// error path too, so no goroutine outlives its session.
-	cs.enc.Close()
-	cs.cons.Wait()
-	if err == nil {
-		err = cs.enc.Err()
-	}
-	return gres, err
-}
-
 // result assembles the SessionResult for a completed run.
 func (cs *cosim) result(gres *GuestResult) *SessionResult {
 	return &SessionResult{
@@ -307,19 +155,15 @@ func (cs *cosim) result(gres *GuestResult) *SessionResult {
 // RunSession is safe for concurrent use: every call constructs its own guest
 // system, host machine, and code model, and the package-level state it reads
 // (workload registry, platform tables, SPEC profiles) is immutable after
-// init. The parallel experiment runner relies on this. In pipelined mode
-// each session adds one consumer goroutine for the duration of its run, and
-// a sharded guest adds one shard worker plus one trace replayer, so a
-// harness admitting Jobs concurrent sessions runs at most
-// Jobs x (1 + pipeline + 2 x sharded) simulation goroutines.
+// init. The parallel experiment runner relies on this. Each session runs on
+// the calling goroutine alone, so a harness admitting Jobs concurrent
+// sessions runs exactly Jobs simulation goroutines.
 func RunSession(cfg SessionConfig) (*SessionResult, error) {
-	gcfg := cfg.guestConfig()
-	cs, err := newCosim(cfg, cfg.Pipeline.enabled(cfg.Profile),
-		func(tr sim.Tracer) (*GuestSystem, error) { return BuildGuest(gcfg, tr) })
+	cs, err := newCosimOn(nil, cfg, func(tr sim.Tracer) (*GuestSystem, error) { return BuildGuest(cfg.Guest, tr) })
 	if err != nil {
 		return nil, err
 	}
-	gres, err := cs.run(cs.guest.Run)
+	gres, err := cs.guest.Run()
 	if err != nil {
 		return nil, err
 	}

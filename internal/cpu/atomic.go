@@ -24,7 +24,7 @@ type AtomicCPU struct {
 func NewAtomicCPU(sys *sim.System, cfg Config) *AtomicCPU {
 	c := &AtomicCPU{core: newCore(sys, "AtomicSimpleCPU", cfg), batch: 64}
 	c.numCycles = sys.Stats().Counter(cfg.Name+".numCycles", "guest cycles simulated")
-	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.core.fnFetch, sim.PrioCPUTick, c.doTick).SetDomain(cfg.Domain)
+	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.core.fnFetch, sim.PrioCPUTick, c.doTick)
 	c.core.wakeup = func() {
 		// The tick may still be queued: a core parked at build time keeps
 		// its Start event until it first fires, and a spawn can unpark it

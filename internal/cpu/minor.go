@@ -86,7 +86,7 @@ func NewMinorCPU(sys *sim.System, cfg Config, mcfg MinorConfig) *MinorCPU {
 	c.fetchStalls = st.Counter(cfg.Name+".fetchStallCycles", "cycles with an empty decode buffer")
 	c.issueStalls = st.Counter(cfg.Name+".issueStallCycles", "cycles blocked on hazards")
 	c.squashes = st.Counter(cfg.Name+".squashes", "pipeline squashes (mispredicts + traps)")
-	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIssue, sim.PrioCPUTick, c.evaluate).SetDomain(cfg.Domain)
+	c.tick = sim.NewEventPrio(cfg.Name+".tick", c.fnIssue, sim.PrioCPUTick, c.evaluate)
 	c.core.wakeup = func() { c.schedule() }
 	c.core.redirect = func(pc uint32) { c.squash(pc) }
 	sys.Register(c)

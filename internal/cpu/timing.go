@@ -29,7 +29,7 @@ func NewTimingCPU(sys *sim.System, cfg Config) *TimingCPU {
 	c.numCycles = st.Counter(cfg.Name+".numCycles", "active guest cycles")
 	c.fetchStall = st.Counter(cfg.Name+".icacheStallTicks", "ticks stalled on instruction fetch")
 	c.dataStall = st.Counter(cfg.Name+".dcacheStallTicks", "ticks stalled on data access")
-	c.fetchEv = sim.NewEventPrio(cfg.Name+".fetch", c.core.fnFetch, sim.PrioCPUTick, c.startFetch).SetDomain(cfg.Domain)
+	c.fetchEv = sim.NewEventPrio(cfg.Name+".fetch", c.core.fnFetch, sim.PrioCPUTick, c.startFetch)
 	c.core.wakeup = func() {
 		// The fetch may still be queued: a core parked at build time keeps
 		// its Start event until it first fires, and a spawn can unpark it

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 
@@ -38,27 +36,16 @@ func (r *Runner) Workers() int { return r.workers }
 // submit runs fn on the pool once a worker slot frees up. Only leaf
 // simulation runs hold slots — experiment coordinators (RunMany) never do,
 // which is what lets the nested fan-out proceed without deadlocking the
-// pool at -j 1.
-//
-// Goroutine accounting with the co-simulation pipeline: a slot admits one
-// session, and a pipelined session adds exactly one uarch-consumer
-// goroutine for the duration of its run (core.RunSession starts it after
-// admission and joins it before releasing the slot), so the harness runs
-// at most 2*Jobs simulation goroutines no matter how many experiments are
-// in flight.
-//
-// Workers carry the pprof label cosim-stage=experiment-worker; pipelined
-// sessions re-label their producer span and consumer goroutine, so a
-// -cpuprofile from cmd/experiments splits time across all three stages.
+// pool at -j 1. A slot admits one session, and a session runs on its
+// worker goroutine alone, so the harness runs at most Jobs simulation
+// goroutines no matter how many experiments are in flight.
 func (r *Runner) submit(wg *sync.WaitGroup, fn func()) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		r.sem <- struct{}{}
 		defer func() { <-r.sem }()
-		pprof.Do(context.Background(),
-			pprof.Labels("cosim-stage", "experiment-worker"),
-			func(context.Context) { fn() })
+		fn()
 	}()
 }
 

@@ -6,12 +6,8 @@ func All() []*Analyzer {
 		Detmap,
 		NoWallClock,
 		PastSched,
-		AtomicRing,
 		StatReg,
-		SinkDiscipline,
-		ShardPost,
 		Detflow,
 		FloatOrder,
-		ShardEscape,
 	}
 }

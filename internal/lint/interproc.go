@@ -1,17 +1,17 @@
 package lint
 
-// This file is the interprocedural dataflow engine behind detflow,
-// floatorder and shardescape: a package-at-a-time summarizer that walks
-// every function body over go/ast + go/types, tracks taint through
-// assignments, calls, closures and struct fields, and condenses each
-// function into a FuncSummary (summary.go). Summaries of dependency
+// This file is the interprocedural dataflow engine behind detflow and
+// floatorder: a package-at-a-time summarizer that walks every function
+// body over go/ast + go/types, tracks taint through assignments, calls,
+// closures and struct fields, and condenses each function into a
+// FuncSummary (summary.go). Summaries of dependency
 // packages arrive through the unitchecker facts path (or are computed
 // recursively by linttest), so the whole-program analysis is the
 // composition of per-package fixpoints in package-DAG order — the same
 // shape as x/tools facts-based analyzers, with the go command providing
 // the DAG ordering and the cache.
 //
-// Precision policy (see DESIGN.md §16 for the full argument):
+// Precision policy (see DESIGN.md §14 for the full argument):
 //
 //   - Context: summaries are context-insensitive (one summary per named
 //     function); function literals are analyzed inline at their lexical
@@ -19,10 +19,7 @@ package lint
 //     precise without any context cloning.
 //   - Fields: field-insensitive. A store of a tainted value through a
 //     selector taints the base object; a read through a selector reads
-//     the base object's taint. Domain classes ("dom:*") are the
-//     exception: they never propagate upward through field stores or
-//     composite literals, so a registry struct holding objects of two
-//     domains is not itself "reachable from both domains".
+//     the base object's taint.
 //   - Flow: statements are walked in order; loop bodies are walked twice
 //     so taint introduced late in a body reaches uses earlier in the
 //     next iteration. There is no kill on reassignment (a variable only
@@ -51,8 +48,6 @@ const (
 	classRand     = "rand"      // drawn from host-seeded global rand state
 	classEnv      = "env"       // read from the process environment / host identity
 	classPtrFmt   = "ptrfmt"    // formatted host pointer value (ASLR-dependent)
-	classDomMem   = "dom:mem"   // reachable from the memory shard domain
-	classDomGroup = "dom:group" // reachable from a coordinator-side (CPU/core/dev) domain
 )
 
 // Sink kinds: the determinism-critical outputs detflow guards.
@@ -98,12 +93,12 @@ func sinkNoun(kind string) string {
 	return kind
 }
 
-// IPFinding is one candidate finding recorded by the engine. The three
+// IPFinding is one candidate finding recorded by the engine. The two
 // interprocedural analyzers filter by Kind and render the message; the
 // ordinary per-analyzer suppression machinery applies at Pos.
 type IPFinding struct {
 	Pos    token.Pos
-	Kind   string // "sink", "floatsum", "domjoin", "domglobal", "domcall"
+	Kind   string // "sink" or "floatsum"
 	Class  string // taint class involved (sink, floatsum)
 	Sink   string // sink kind (Kind == "sink")
 	Detail string // callee or object name for the message
@@ -156,11 +151,9 @@ type summarizer struct {
 	info    *types.Info
 	annots  map[string]map[int][]string // filename -> line -> suppressed analyzer names ("" = deterministic)
 	table   map[string]*FuncSummary     // FullName -> summary under construction
-	typeDom map[string]string           // named type full name -> "mem" | "group" | "mixed"
 	globals map[types.Object]taintSet   // package-level vars
 	sanit   map[types.Object]bool       // objects sanitized (sorted) in the current function
 	find    map[IPFinding]bool
-	persist map[IPFinding]bool // findings gated on global-taint growth, which happens once
 	changed bool
 }
 
@@ -209,29 +202,14 @@ func (t taintSet) withoutOrder() taintSet {
 	return c
 }
 
-// withoutDomains strips the shard-domain classes (applied at field stores
-// and composite literals: containers do not inherit their members' shard
-// side).
-func (t taintSet) withoutDomains() taintSet {
-	if !t[classDomMem] && !t[classDomGroup] {
-		return t
-	}
-	c := t.clone()
-	delete(c, classDomMem)
-	delete(c, classDomGroup)
-	return c
-}
-
 func newSummarizer(ip *IP) *summarizer {
 	s := &summarizer{
 		ip:      ip,
 		info:    ip.info,
 		annots:  make(map[string]map[int][]string),
 		table:   make(map[string]*FuncSummary),
-		typeDom: make(map[string]string),
 		globals: make(map[types.Object]taintSet),
 		find:    make(map[IPFinding]bool),
-		persist: make(map[IPFinding]bool),
 	}
 	for _, f := range ip.files {
 		for _, cg := range f.Comments {
@@ -394,21 +372,13 @@ func (s *summarizer) packageSummary() *PkgSummary {
 			ps.Funcs[name] = fs
 		}
 	}
-	for name, d := range s.typeDom {
-		if d == "mem" || d == "group" {
-			if ps.TypeDomains == nil {
-				ps.TypeDomains = make(map[string]string)
-			}
-			ps.TypeDomains[name] = d
-		}
-	}
 	for obj, t := range s.globals {
 		var classes []string
 		for c := range t {
 			if c == classMRange {
 				continue // loop-scoped pseudo-class
 			}
-			if !strings.Contains(c, ":") || c == classDomMem || c == classDomGroup {
+			if !strings.Contains(c, ":") {
 				classes = append(classes, c)
 			}
 		}
@@ -426,11 +396,6 @@ func (s *summarizer) finalFindings() []IPFinding {
 	var out []IPFinding
 	for f := range s.find {
 		out = append(out, f)
-	}
-	for f := range s.persist {
-		if !s.find[f] {
-			out = append(out, f)
-		}
 	}
 	// Deterministic order for the analyzers' reports.
 	sortFindings(out)
@@ -481,7 +446,7 @@ func (s *summarizer) walkPackageVars() {
 					t := w.eval(val)
 					if i < len(vs.Names) {
 						if obj := s.info.Defs[vs.Names[i]]; obj != nil {
-							w.addTaint(obj, t, vs.Names[i].Pos())
+							w.addTaint(obj, t)
 						}
 					}
 				}
@@ -506,7 +471,6 @@ func (s *summarizer) walkFunc(d *ast.FuncDecl) {
 	}
 	s.sanit = make(map[types.Object]bool)
 	w := s.newWalker(fn, sum)
-	w.resultTypes = resultTypes(fn)
 
 	// Seed parameter slots with their pseudo-classes.
 	if d.Recv != nil && len(d.Recv.List) == 1 && len(d.Recv.List[0].Names) == 1 {
@@ -530,74 +494,7 @@ func (s *summarizer) walkFunc(d *ast.FuncDecl) {
 		}
 	}
 
-	// detectEventDomain tags the receiver type from an EventDomain
-	// method returning a constant domain.
-	if d.Recv != nil && d.Name.Name == "EventDomain" {
-		s.tagEventDomain(d, fn)
-	}
-
 	w.stmt(d.Body)
-}
-
-// tagEventDomain records the shard side of a type declaring
-// `func (x *T) EventDomain() sim.Domain { return <const> }`.
-func (s *summarizer) tagEventDomain(d *ast.FuncDecl, fn *types.Func) {
-	if fn == nil || len(d.Body.List) != 1 {
-		return
-	}
-	ret, ok := d.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return
-	}
-	dom := domainConstSide(s.info, ret.Results[0])
-	if dom == "" {
-		return
-	}
-	if t := recvNamedType(fn); t != nil {
-		s.setTypeDomain(t, dom)
-	}
-}
-
-func (s *summarizer) setTypeDomain(t *types.Named, dom string) {
-	name := typeFullName(t)
-	if name == "" {
-		return
-	}
-	if old, ok := s.typeDom[name]; ok && old != dom {
-		dom = "mixed"
-	}
-	if s.typeDom[name] != dom {
-		s.typeDom[name] = dom
-		s.changed = true
-	}
-}
-
-// typeDomainOf resolves a named type's shard side across packages.
-func (s *summarizer) typeDomainOf(t *types.Named) string {
-	name := typeFullName(t)
-	if name == "" {
-		return ""
-	}
-	if d, ok := s.typeDom[name]; ok {
-		if d == "mixed" {
-			return ""
-		}
-		return d
-	}
-	if p := t.Obj().Pkg(); p != nil && p != s.ip.pkg && s.ip.dep != nil {
-		if ps := s.ip.dep(p.Path()); ps != nil {
-			return ps.TypeDomains[name]
-		}
-	}
-	return ""
-}
-
-func typeFullName(t *types.Named) string {
-	obj := t.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 func recvNamedType(fn *types.Func) *types.Named {
@@ -608,30 +505,7 @@ func recvNamedType(fn *types.Func) *types.Named {
 	return namedType(sig.Recv().Type())
 }
 
-func resultTypes(fn *types.Func) []types.Type {
-	if fn == nil {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	out := make([]types.Type, sig.Results().Len())
-	for i := range out {
-		out[i] = sig.Results().At(i).Type()
-	}
-	return out
-}
-
 // record registers a finding (deduplicated; the fixpoint re-walks bodies).
 func (s *summarizer) record(f IPFinding) {
 	s.find[f] = true
-}
-
-// recordPersist registers a finding that survives the per-round reset of
-// s.find. Findings triggered by a global taint set growing fire exactly
-// once — globals persist across rounds — so a later round's reset would
-// silently drop them.
-func (s *summarizer) recordPersist(f IPFinding) {
-	s.persist[f] = true
 }

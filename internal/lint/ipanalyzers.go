@@ -1,6 +1,6 @@
 package lint
 
-// The three interprocedural analyzers. All real work happens in the
+// The two interprocedural analyzers. All real work happens in the
 // shared engine (interproc.go); each analyzer filters the memoized
 // IPResult by finding kind and renders messages, so the ordinary
 // per-analyzer suppression machinery (//lint:allow detflow …) applies at
@@ -30,18 +30,6 @@ var FloatOrder = &Analyzer{
 	Run:  runFloatOrder,
 }
 
-// ShardEscape reports mutable state reachable from more than one sim
-// shard domain without passing through the System mailbox or a barrier
-// merge — the static happens-before complement to the race job. State is
-// seeded from DomainView/DomainForCore roots and EventDomain tags; only
-// mem↔coordinator crossings are flagged (the memory shard is the one
-// worker goroutine; per-core shards are coordinator-affine).
-var ShardEscape = &Analyzer{
-	Name: "shardescape",
-	Doc:  "mutable state shared across shard domains without a mailbox crossing",
-	Run:  runShardEscape,
-}
-
 func runDetflow(p *Pass) error {
 	for _, f := range ipFindings(p) {
 		if f.Kind != "sink" {
@@ -63,20 +51,6 @@ func runFloatOrder(p *Pass) error {
 			detail = " (via " + f.Detail + ")"
 		}
 		p.Reportf(f.Pos, "float accumulation ordered by map iteration%s; float addition does not commute, sort the keys first", detail)
-	}
-	return nil
-}
-
-func runShardEscape(p *Pass) error {
-	for _, f := range ipFindings(p) {
-		switch f.Kind {
-		case "domjoin":
-			p.Reportf(f.Pos, "%s is reachable from both the mem shard and a coordinator-side domain; share it through the System mailbox or a barrier merge", f.Detail)
-		case "domglobal":
-			p.Reportf(f.Pos, "mem-side method writes package-level %s, racing coordinator-side shards; post through the System mailbox instead", f.Detail)
-		case "domcall":
-			p.Reportf(f.Pos, "direct call of %s crosses shard domains; post an event through the System mailbox instead", f.Detail)
-		}
 	}
 	return nil
 }

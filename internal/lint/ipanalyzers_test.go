@@ -23,9 +23,3 @@ func TestFloatOrder(t *testing.T) {
 		"gem5prof/internal/fpsum",
 		"gem5prof/internal/fpsumneg")
 }
-
-func TestShardEscape(t *testing.T) {
-	linttest.Run(t, lint.ShardEscape,
-		"gem5prof/internal/shesc",
-		"gem5prof/internal/shescneg")
-}

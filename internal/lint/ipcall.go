@@ -1,9 +1,8 @@
 package lint
 
 // Call handling for the interprocedural engine: stdlib source/sink/
-// sanitizer intrinsics, summary application with the slot convention
-// (slot 0 = receiver, slot i+1 = parameter i), and the shardescape
-// cross-domain call check.
+// sanitizer intrinsics and summary application with the slot convention
+// (slot 0 = receiver, slot i+1 = parameter i).
 
 import (
 	"go/ast"
@@ -84,22 +83,10 @@ func (w *fnWalker) evalCall(call *ast.CallExpr) taintSet {
 		return t
 	}
 
-	// Shard-domain roots: sys.DomainView(d).
-	if fn.Name() == "DomainView" && isSimPackageFunc(fn) {
-		if len(call.Args) == 1 && domainConstSide(w.s.info, call.Args[0]) == "mem" {
-			return taintSet{}.with(classDomMem)
-		}
-		return taintSet{}.with(classDomGroup)
-	}
-	if fn.Name() == "DomainForCore" && isSimPackageFunc(fn) {
-		return taintSet{}.with(classDomGroup)
-	}
-
 	ops := w.operands(call)
 
-	// The System's scheduling surface is the mailbox: domain taint does
-	// not cross it, and its arguments reach no sink. Evaluate operands
-	// for their side effects only.
+	// The System's scheduling surface carries no value to a sink.
+	// Evaluate operands for their side effects only.
 	if isSystemScheduleCall(fn) {
 		for _, op := range ops {
 			if op != nil {
@@ -114,10 +101,6 @@ func (w *fnWalker) evalCall(call *ast.CallExpr) taintSet {
 	if kinds := intrinsicSinkSlots(fn, path); kinds != nil {
 		w.applySinks(call, ops, kinds, fn)
 	}
-
-	// Cross-domain direct call (shardescape): a method of a mem-side
-	// type invoked from a group-side method body, or vice versa.
-	w.checkDomCall(call, fn)
 
 	// Summary application.
 	if sum := w.lookupSummary(fn); sum != nil {
@@ -142,7 +125,7 @@ func (w *fnWalker) evalCall(call *ast.CallExpr) taintSet {
 			t = t.union(w.eval(op))
 		}
 	}
-	return t.withoutDomains()
+	return t
 }
 
 // operands maps a call to the slot convention: index 0 is the receiver
@@ -216,7 +199,7 @@ func (w *fnWalker) applySummary(call *ast.CallExpr, ops []ast.Expr, sum *FuncSum
 	for slot, classes := range sum.Taints {
 		if slot < len(ops) && ops[slot] != nil {
 			if obj := rootObj(w.s.info, ops[slot]); obj != nil {
-				w.addTaint(obj, taintSet{}.with(classes...), call.Pos())
+				w.addTaint(obj, taintSet{}.with(classes...))
 			}
 		}
 	}
@@ -224,7 +207,7 @@ func (w *fnWalker) applySummary(call *ast.CallExpr, ops []ast.Expr, sum *FuncSum
 		src, dst := f[0], f[1]
 		if src < len(opTaint) && dst < len(ops) && ops[dst] != nil {
 			if obj := rootObj(w.s.info, ops[dst]); obj != nil {
-				w.addTaint(obj, opTaint[src], call.Pos())
+				w.addTaint(obj, opTaint[src])
 			}
 		}
 	}
@@ -330,29 +313,6 @@ func (w *fnWalker) applySinks(call *ast.CallExpr, ops []ast.Expr, kinds map[int]
 	}
 }
 
-// checkDomCall flags a direct method call crossing shard sides: caller
-// receiver tagged one side, callee receiver tagged the other, outside
-// package sim (whose System is the sanctioned crossing).
-func (w *fnWalker) checkDomCall(call *ast.CallExpr, fn *types.Func) {
-	callerDom := w.recvDomain()
-	if callerDom == "" {
-		return
-	}
-	if fn.Pkg() != nil && fn.Pkg().Name() == "sim" {
-		return
-	}
-	t := recvNamedType(fn)
-	if t == nil {
-		return
-	}
-	calleeDom := w.s.typeDomainOf(t)
-	if calleeDom == "" || calleeDom == callerDom {
-		return
-	}
-	w.s.record(IPFinding{Pos: call.Pos(), Kind: "domcall",
-		Detail: calleeLabel(fn) + " (" + calleeDom + "-side) from a " + callerDom + "-side method"})
-}
-
 func calleeLabel(fn *types.Func) string {
 	if recv := recvNamedType(fn); recv != nil {
 		return recv.Obj().Name() + "." + fn.Name()
@@ -454,7 +414,7 @@ func isSimPackageFunc(fn *types.Func) bool {
 	return fn.Pkg() != nil && fn.Pkg().Name() == "sim"
 }
 
-// isSystemScheduleCall matches the System mailbox surface.
+// isSystemScheduleCall matches the System's scheduling surface.
 func isSystemScheduleCall(fn *types.Func) bool {
 	if !isSimPackageFunc(fn) {
 		return false

@@ -19,9 +19,8 @@ type fnWalker struct {
 	sum *FuncSummary              // nil iff fn has no object
 	env map[types.Object]taintSet // params, locals, captured vars
 
-	slots       map[types.Object]int // param/receiver object -> summary slot
-	resultTypes []types.Type
-	litReturns  taintSet // collects return taints of the innermost FuncLit being evaluated
+	slots      map[types.Object]int // param/receiver object -> summary slot
+	litReturns taintSet             // collects return taints of the innermost FuncLit being evaluated
 
 	// mapLoops is the stack of enclosing order-sensitive range statements
 	// (map ranges, or ranges over fporder-tainted collections): float
@@ -61,7 +60,7 @@ func (w *fnWalker) stmt(st ast.Stmt) {
 						t := w.eval(val)
 						if i < len(vs.Names) {
 							if obj := w.s.info.Defs[vs.Names[i]]; obj != nil {
-								w.addTaint(obj, t, vs.Names[i].Pos())
+								w.addTaint(obj, t)
 							}
 						}
 					}
@@ -69,8 +68,8 @@ func (w *fnWalker) stmt(st ast.Stmt) {
 			}
 		}
 	case *ast.ReturnStmt:
-		for i, res := range st.Results {
-			w.ret(i, w.eval(res), res.Pos())
+		for _, res := range st.Results {
+			w.ret(w.eval(res))
 		}
 	case *ast.IfStmt:
 		w.stmt(st.Init)
@@ -129,7 +128,7 @@ func (w *fnWalker) stmt(st ast.Stmt) {
 	case *ast.SendStmt:
 		// Channel send: taint the channel object (coarse).
 		if obj := rootObj(w.s.info, st.Chan); obj != nil {
-			w.addTaint(obj, w.eval(st.Value), st.Arrow)
+			w.addTaint(obj, w.eval(st.Value))
 		}
 	case *ast.IncDecStmt:
 		w.eval(st.X)
@@ -160,7 +159,7 @@ func (w *fnWalker) assignStmt(st *ast.AssignStmt) {
 		if isFloatAccum(w.s.info, st, i) {
 			w.floatAccum(lhs, t, st.TokPos)
 		}
-		w.store(lhs, t, st.TokPos)
+		w.store(lhs, t)
 	}
 }
 
@@ -300,45 +299,37 @@ func isOrderedCollection(t types.Type) bool {
 }
 
 // store writes taint through an lvalue. Identifier targets take the full
-// set; selector/index targets taint the base object, minus the domain
-// classes (containers do not inherit shard sides) — except the Domain
-// field, which is exactly how SimObjects announce their shard side.
-func (w *fnWalker) store(lhs ast.Expr, t taintSet, pos token.Pos) {
+// set; selector/index/star targets taint the base object.
+func (w *fnWalker) store(lhs ast.Expr, t taintSet) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if lhs.Name == "_" {
 			return
 		}
 		if obj := identObj(w.s.info, lhs); obj != nil {
-			w.addTaint(obj, t, pos)
+			w.addTaint(obj, t)
 		}
 	case *ast.SelectorExpr:
 		base := rootObj(w.s.info, lhs.X)
 		if base == nil {
 			return
 		}
-		if lhs.Sel.Name == "Domain" {
-			w.addTaint(base, t, pos)
-			return
-		}
-		w.addTaint(base, t.withoutDomains(), pos)
+		w.addTaint(base, t)
 	case *ast.IndexExpr:
 		if base := rootObj(w.s.info, lhs.X); base != nil {
-			w.addTaint(base, t.withoutDomains(), pos)
+			w.addTaint(base, t)
 		}
 	case *ast.StarExpr:
 		if base := rootObj(w.s.info, lhs.X); base != nil {
-			w.addTaint(base, t, pos)
+			w.addTaint(base, t)
 		}
 	}
 }
 
 // addTaint grows an object's taint set, recording summary consequences:
-// stores into parameter-reachable objects become Taints/Flows entries,
-// stores into package-level variables persist (and, from a mem-side
-// method, are a shardescape finding), and a set acquiring both shard
-// sides is a domain join.
-func (w *fnWalker) addTaint(obj types.Object, t taintSet, pos token.Pos) {
+// stores into parameter-reachable objects become Taints/Flows entries, and
+// stores into package-level variables persist.
+func (w *fnWalker) addTaint(obj types.Object, t taintSet) {
 	if len(t) == 0 {
 		return
 	}
@@ -349,13 +340,6 @@ func (w *fnWalker) addTaint(obj types.Object, t taintSet, pos token.Pos) {
 	} else {
 		cur = w.env[obj]
 	}
-	// Checked before the growth gate: the receiver's shard tag can land a
-	// fixpoint round after the global's taint saturates, and globals (unlike
-	// locals) are not re-derived from scratch each round.
-	if global && w.recvDomain() == "mem" {
-		w.s.recordPersist(IPFinding{Pos: pos, Kind: "domglobal", Detail: obj.Name()})
-	}
-	hadBoth := cur[classDomMem] && cur[classDomGroup]
 	grew := false
 	for c := range t {
 		if !cur[c] {
@@ -374,13 +358,6 @@ func (w *fnWalker) addTaint(obj types.Object, t taintSet, pos token.Pos) {
 		w.s.changed = true
 	} else {
 		w.env[obj] = cur
-	}
-	if cur[classDomMem] && cur[classDomGroup] && !hadBoth {
-		if global {
-			w.s.recordPersist(IPFinding{Pos: pos, Kind: "domjoin", Detail: obj.Name()})
-		} else {
-			w.s.record(IPFinding{Pos: pos, Kind: "domjoin", Detail: obj.Name()})
-		}
 	}
 	// Store into a parameter slot's object: summary consequence.
 	if slot, ok := w.slots[obj]; ok && w.sum != nil {
@@ -443,7 +420,7 @@ outer:
 
 // ret folds one returned expression's taint into the summary (or into
 // the enclosing function literal's value taint).
-func (w *fnWalker) ret(i int, t taintSet, pos token.Pos) {
+func (w *fnWalker) ret(t taintSet) {
 	if w.litReturns != nil {
 		w.litReturns = w.litReturns.union(t)
 	}
@@ -476,30 +453,6 @@ func (w *fnWalker) ret(i int, t taintSet, pos token.Pos) {
 			w.s.changed = true
 		}
 	}
-	// A constructor returning a domain-tagged value tags its result type.
-	if (t[classDomMem] || t[classDomGroup]) && i < len(w.resultTypes) {
-		if named := namedType(w.resultTypes[i]); named != nil && named.Obj().Pkg() == w.s.ip.pkg {
-			dom := "group"
-			if t[classDomMem] {
-				dom = "mem"
-			}
-			w.s.setTypeDomain(named, dom)
-		}
-	}
-	_ = pos
-}
-
-// recvDomain resolves the shard side of the walked function's receiver
-// type, if tagged.
-func (w *fnWalker) recvDomain() string {
-	if w.fn == nil {
-		return ""
-	}
-	t := recvNamedType(w.fn)
-	if t == nil {
-		return ""
-	}
-	return w.s.typeDomainOf(t)
 }
 
 // rangeStmt models iteration. Ranging a map mints, on the loop
@@ -552,10 +505,10 @@ func (w *fnWalker) rangeStmt(st *ast.RangeStmt) {
 		}
 		if id, ok := ast.Unparen(v).(*ast.Ident); ok && id.Name != "_" {
 			if obj := identObj(w.s.info, id); obj != nil {
-				w.addTaint(obj, loopTaint, id.Pos())
+				w.addTaint(obj, loopTaint)
 			}
 		} else {
-			w.store(v, loopTaint, st.Range)
+			w.store(v, loopTaint)
 		}
 	}
 	if orderLoop {
@@ -620,7 +573,7 @@ func (w *fnWalker) eval(e ast.Expr) taintSet {
 				t = t.union(w.eval(el))
 			}
 		}
-		return t.withoutDomains()
+		return t
 	case *ast.FuncLit:
 		return w.evalFuncLit(e)
 	case *ast.KeyValueExpr:
@@ -650,13 +603,7 @@ func (w *fnWalker) objTaint(obj types.Object) taintSet {
 	if obj == nil {
 		return nil
 	}
-	// Domain constants: sim.DomainMem tags the mem side; every other
-	// Domain constant (and DomainForCore's result, handled at the call)
-	// is coordinator-side.
-	if c, ok := obj.(*types.Const); ok {
-		if side := domainSideOfConst(c); side != "" {
-			return taintSet{}.with(side)
-		}
+	if _, ok := obj.(*types.Const); ok {
 		return nil
 	}
 	if isPackageLevel(obj) {
@@ -725,47 +672,6 @@ func isPackageLevel(obj types.Object) bool {
 		return false
 	}
 	return v.Parent() == v.Pkg().Scope()
-}
-
-// domainSideOfConst classifies a sim.Domain constant by name.
-func domainSideOfConst(c *types.Const) string {
-	named := namedType(c.Type())
-	if named == nil || named.Obj().Name() != "Domain" {
-		return ""
-	}
-	if p := named.Obj().Pkg(); p == nil || p.Name() != "sim" {
-		return ""
-	}
-	if c.Name() == "DomainMem" {
-		return classDomMem
-	}
-	if strings.HasPrefix(c.Name(), "Domain") {
-		return classDomGroup
-	}
-	return ""
-}
-
-// domainConstSide classifies the domain constant an expression denotes
-// ("mem"/"group"), empty when it is not a recognizable constant.
-func domainConstSide(info *types.Info, e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if c, ok := identObj(info, e).(*types.Const); ok {
-			switch domainSideOfConst(c) {
-			case classDomMem:
-				return "mem"
-			case classDomGroup:
-				return "group"
-			}
-		}
-	case *ast.SelectorExpr:
-		return domainConstSide(info, e.Sel)
-	case *ast.CallExpr:
-		if fn := calleeFunc(info, e); fn != nil && fn.Name() == "DomainForCore" {
-			return "group"
-		}
-	}
-	return ""
 }
 
 func exprString(e ast.Expr) string {

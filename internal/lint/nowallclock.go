@@ -9,8 +9,8 @@ import (
 // and the process environment. Every source of variation must flow from
 // core.DeriveSeed(experiment, cell) through sim.System's seeded RNG and
 // the event queue's Tick domain — that is what makes a run replayable
-// bit-for-bit on any host and what the golden fixtures, the conformance
-// campaigns, and the pipelined-equals-serial differential all rest on.
+// bit-for-bit on any host and what the golden fixtures and the
+// conformance campaigns rest on.
 // Command binaries under cmd/ may time themselves; the model may not.
 var NoWallClock = &Analyzer{
 	Name: "nowallclock",

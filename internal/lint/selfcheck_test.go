@@ -8,8 +8,8 @@ import (
 )
 
 // TestSelfApplication is the acceptance bar of the suite: g5lint, run as
-// a vet tool over this repository, must be clean — all ten analyzers,
-// including the interprocedural ones (detflow, floatorder, shardescape)
+// a vet tool over this repository, must be clean — all six analyzers,
+// including the interprocedural ones (detflow, floatorder)
 // whose summaries flow through the vet facts path. Every real violation
 // has been fixed and every benign one carries a reasoned annotation; a
 // regression in either direction fails here. The suppression audit runs

@@ -14,9 +14,8 @@ package lint
 // share one shape.
 //
 // Taint classes are short strings (see interproc.go): "maporder",
-// "fporder", "wallclock", "rand", "env", "ptrfmt", "dom:mem", "dom:group",
-// plus the internal pseudo-classes "param:N" / "rloop:N" that never leave
-// the summarizer.
+// "fporder", "wallclock", "rand", "env", "ptrfmt", plus the internal
+// pseudo-classes "param:N" / "rloop:N" that never leave the summarizer.
 
 import (
 	"encoding/json"
@@ -66,11 +65,6 @@ type PkgSummary struct {
 	// Funcs maps types.Func.FullName() to its summary. Only functions
 	// with a non-zero summary are present.
 	Funcs map[string]*FuncSummary `json:",omitempty"`
-	// TypeDomains maps a named type's full name (pkgpath.Name) to the
-	// shard side its instances live on: "mem" or "group". Types earn a
-	// tag from an EventDomain method returning a constant domain, or
-	// from a constructor whose result carries a domain-view taint.
-	TypeDomains map[string]string `json:",omitempty"`
 	// Globals maps a package-level variable's full name to the taint
 	// classes its value carries after package analysis.
 	Globals map[string][]string `json:",omitempty"`

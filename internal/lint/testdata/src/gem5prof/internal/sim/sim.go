@@ -66,3 +66,15 @@ func (r *Registry) Histogram(name, desc string) *Histogram { return &Histogram{}
 
 // Formula registers a derived stat.
 func (r *Registry) Formula(name, desc string, f func() float64) *Formula { return &Formula{} }
+
+// Tracer records execution into the trace arena (stub).
+type Tracer struct{}
+
+// RegisterFunc interns a guest function symbol.
+func (t *Tracer) RegisterFunc(name string, size uint32, flags int) int { return 0 }
+
+// Call records one call event.
+func (t *Tracer) Call(fn int) {}
+
+// Data records one memory access.
+func (t *Tracer) Data(addr uint64, size uint32, write bool) {}

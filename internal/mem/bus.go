@@ -18,10 +18,6 @@ type Bus struct {
 	sys  *sim.System
 	cfg  BusConfig
 	next Port
-	// fwdDomain is the simulation domain of the downstream port: the bus's
-	// forward events are tagged with it so that, under sharded execution,
-	// delivery to a memory-domain device fires on the memory shard.
-	fwdDomain sim.Domain
 
 	busyUntil sim.Tick
 
@@ -38,9 +34,6 @@ func NewBus(sys *sim.System, cfg BusConfig, next Port) *Bus {
 		panic("mem: bus needs a downstream port")
 	}
 	b := &Bus{sys: sys, cfg: cfg, next: next}
-	if ds, ok := next.(DomainSource); ok {
-		b.fwdDomain = ds.EventDomain()
-	}
 	b.fnForward = sys.Tracer().RegisterFunc(cfg.Name+"::recvTimingReq", 800, sim.FuncVirtual|sim.FuncHot)
 	st := sys.Stats()
 	b.transactions = st.Counter(cfg.Name+".transactions", "bus transactions")
@@ -80,7 +73,7 @@ func (b *Bus) SendTiming(acc Access, done func()) {
 	delay := (start - now) + b.cfg.Latency + b.occupancy(acc.Size)
 	b.sys.ScheduleIn(sim.NewEvent(b.cfg.Name+".fwd", b.fnForward, func() {
 		b.next.SendTiming(acc, done)
-	}).SetDomain(b.fwdDomain), delay)
+	}), delay)
 }
 
 func (b *Bus) account(acc Access) {

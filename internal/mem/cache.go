@@ -25,11 +25,6 @@ type CacheConfig struct {
 	// stream's block stride and runs one block ahead). Mutually exclusive
 	// with NextLine.
 	Stride bool
-	// Domain tags this cache's self-scheduled events (hit responses, miss
-	// forwards, fills). Core-private caches in a multicore guest carry their
-	// core's domain so sharded execution can place them on the core's shard;
-	// the zero value (DomainCPU) keeps shared caches on the coordinator.
-	Domain sim.Domain
 }
 
 func (c *CacheConfig) validate() {
@@ -349,7 +344,7 @@ func (c *Cache) sendTiming(acc Access, done func()) {
 			}
 			l.dirty = true
 		}
-		ev := sim.NewEvent(c.nameHitResp, c.fnAccess, done).SetDomain(c.cfg.Domain)
+		ev := sim.NewEvent(c.nameHitResp, c.fnAccess, done)
 		c.sys.ScheduleIn(ev, lat)
 		return
 	}
@@ -392,7 +387,7 @@ func (c *Cache) allocMSHR(acc Access, done func(), prefetch bool) {
 	fetch := Access{Addr: block, Size: uint8(c.cfg.BlockBytes), Inst: acc.Inst, Excl: acc.Write}
 	c.sys.ScheduleIn(sim.NewEvent(c.nameMissFwd, c.fnAccess, func() {
 		c.next.SendTiming(fetch, func() { c.handleFill(m) })
-	}).SetDomain(c.cfg.Domain), c.cfg.HitLatency)
+	}), c.cfg.HitLatency)
 	if !prefetch {
 		switch {
 		case c.cfg.NextLine:
@@ -461,7 +456,7 @@ func (c *Cache) handleFill(m *mshr) {
 		c.fill(m.blockAddr, m.write, false, m.fillExcl)
 	}
 	for _, w := range m.waiters {
-		ev := sim.NewEvent(c.nameFill, c.fnFill, w).SetDomain(c.cfg.Domain)
+		ev := sim.NewEvent(c.nameFill, c.fnFill, w)
 		c.sys.ScheduleIn(ev, respLat)
 	}
 	// Service a queued request now that an MSHR is free. The re-probe

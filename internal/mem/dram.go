@@ -71,13 +71,6 @@ func NewDRAM(sys *sim.System, cfg DRAMConfig) *DRAM {
 // Name implements sim.SimObject.
 func (d *DRAM) Name() string { return d.cfg.Name }
 
-// EventDomain implements DomainSource: DRAM timing callbacks (bank state,
-// row-buffer updates, response scheduling) belong to the memory domain, so
-// sharded execution runs them on the memory shard. Construct the controller
-// against sys.DomainView(sim.DomainMem) so its Now() reads that shard's
-// clock.
-func (d *DRAM) EventDomain() sim.Domain { return sim.DomainMem }
-
 // Reads returns the read transaction count.
 func (d *DRAM) Reads() uint64 { return d.reads.Count() }
 

@@ -14,9 +14,6 @@ type TLBConfig struct {
 	PageBytes uint32
 	// MissLatency models the table-walk cost charged on a miss.
 	MissLatency sim.Tick
-	// Domain tags the walk events; per-core TLBs in a multicore guest carry
-	// their core's domain (see CacheConfig.Domain).
-	Domain sim.Domain
 }
 
 // TLB sits in front of a cache port and charges translation latency. The
@@ -118,5 +115,5 @@ func (t *TLB) SendTiming(acc Access, done func()) {
 	// Table walk, then the access proceeds.
 	t.sys.ScheduleIn(sim.NewEvent(t.nameWalk, t.fnLookup, func() {
 		t.next.SendTiming(acc, done)
-	}).SetDomain(t.cfg.Domain), t.cfg.MissLatency)
+	}), t.cfg.MissLatency)
 }

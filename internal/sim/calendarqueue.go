@@ -9,7 +9,6 @@ const overflowPos = 1 << 30
 // (a ladder/calendar queue). It exists to support the event-queue ablation
 // (DESIGN.md A5); behaviour is identical to HeapQueue.
 type CalendarQueue struct {
-	stamper
 	now     Tick
 	seq     uint64
 	width   Tick
@@ -33,15 +32,6 @@ func NewCalendarQueue(nb int, width Tick) *CalendarQueue {
 // Now implements Queue.
 func (q *CalendarQueue) Now() Tick { return q.now }
 
-// syncNow advances the clock without firing (see clockSyncer). Bucket state
-// is untouched: the sharded engine only syncs to the merged group's minimum
-// pending tick, so no pending event falls behind the new clock.
-func (q *CalendarQueue) syncNow(t Tick) {
-	if t > q.now {
-		q.now = t
-	}
-}
-
 // Len implements Queue.
 func (q *CalendarQueue) Len() int { return q.size }
 
@@ -58,15 +48,14 @@ func (q *CalendarQueue) horizon() Tick {
 // Schedule implements Queue.
 func (q *CalendarQueue) Schedule(e *Event, when Tick) {
 	if e.pos >= 0 {
-		panic(fmt.Sprintf("sim: event %s scheduled twice%s", e.name, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled twice", e.name))
 	}
 	if when < q.now {
-		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d%s", e.name, when, q.now, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d", e.name, when, q.now))
 	}
 	e.when = when
 	e.seq = q.seq
 	q.seq++
-	q.stampFor(e, q.now)
 	q.size++
 	if when >= q.horizon() {
 		e.pos = overflowPos
@@ -128,9 +117,6 @@ func (q *CalendarQueue) NextTick() Tick {
 	return e.when
 }
 
-// Peek implements Queue.
-func (q *CalendarQueue) Peek() *Event { return q.peek() }
-
 // ServiceOne implements Queue.
 func (q *CalendarQueue) ServiceOne() bool {
 	e := q.peek()
@@ -141,10 +127,9 @@ func (q *CalendarQueue) ServiceOne() bool {
 		// Guards Now() monotonicity against filing bugs: peek's window
 		// slide/jump rewrites q.base/q.cur without consulting q.now, so a
 		// mis-bucketed event would surface here as time running backwards.
-		panic(fmt.Sprintf("sim: calendar queue time ran backwards: event %s at %d, now %d%s",
-			e.name, e.when, q.now, q.context()))
+		panic(fmt.Sprintf("sim: calendar queue time ran backwards: event %s at %d, now %d",
+			e.name, e.when, q.now))
 	}
-	q.beginDispatch(e)
 	q.Deschedule(e)
 	q.now = e.when
 	q.fired++

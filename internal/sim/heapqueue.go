@@ -3,10 +3,8 @@ package sim
 import "fmt"
 
 // HeapQueue is the default event queue: a binary min-heap ordered by
-// (tick, priority, provenance stamp, insertion sequence). All operations are
-// O(log n).
+// (tick, priority, insertion sequence). All operations are O(log n).
 type HeapQueue struct {
-	stamper
 	now   Tick
 	seq   uint64
 	heap  []*Event
@@ -18,15 +16,6 @@ func NewHeapQueue() *HeapQueue { return &HeapQueue{} }
 
 // Now implements Queue.
 func (q *HeapQueue) Now() Tick { return q.now }
-
-// syncNow advances the clock without firing (see clockSyncer). The sharded
-// engine only calls it with the merged group's minimum pending tick, which
-// can never undercut a pending local event.
-func (q *HeapQueue) syncNow(t Tick) {
-	if t > q.now {
-		q.now = t
-	}
-}
 
 // Len implements Queue.
 func (q *HeapQueue) Len() int { return len(q.heap) }
@@ -40,15 +29,14 @@ func (q *HeapQueue) Fired() uint64 { return q.fired }
 // Schedule implements Queue.
 func (q *HeapQueue) Schedule(e *Event, when Tick) {
 	if e.pos >= 0 {
-		panic(fmt.Sprintf("sim: event %s scheduled twice%s", e.name, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled twice", e.name))
 	}
 	if when < q.now {
-		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d%s", e.name, when, q.now, q.context()))
+		panic(fmt.Sprintf("sim: event %s scheduled at %d before now %d", e.name, when, q.now))
 	}
 	e.when = when
 	e.seq = q.seq
 	q.seq++
-	q.stampFor(e, q.now)
 	e.pos = len(q.heap)
 	q.heap = append(q.heap, e)
 	q.up(e.pos)
@@ -79,21 +67,12 @@ func (q *HeapQueue) NextTick() Tick {
 	return q.heap[0].when
 }
 
-// Peek implements Queue.
-func (q *HeapQueue) Peek() *Event {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
-}
-
 // ServiceOne implements Queue.
 func (q *HeapQueue) ServiceOne() bool {
 	if len(q.heap) == 0 {
 		return false
 	}
 	e := q.heap[0]
-	q.beginDispatch(e)
 	q.remove(0)
 	e.pos = -1
 	q.now = e.when

@@ -41,56 +41,18 @@ const (
 	PrioMaximum      = 100
 )
 
-// schedStamp records the scheduling provenance of an event: when it was
-// inserted and by whom. The stamp extends the queue ordering key so that the
-// relative order of same-(tick, priority) events is decided by information
-// that is identical whether the simulation runs on one event queue or on
-// sharded per-domain queues (see ShardConfig): the insertion tick, the
-// identity of the dispatching event (its priority and own insertion tick),
-// and the insertion's index within that dispatch class. Within a single
-// queue the stamp is provably monotone in insertion order (each field is
-// nondecreasing along seq), so adding it to the comparator refines nothing:
-// serial event order — and therefore every stat, trace, and report — is
-// bit-identical to the pre-stamp ordering.
-type schedStamp struct {
-	at    Tick   // queue time at insertion
-	pPrio int    // priority of the dispatching event (0 outside dispatch)
-	pAt   Tick   // insertion tick of the dispatching event
-	pIdx  uint32 // insertion index within the (at, pPrio, pAt) dispatch class
-}
-
-// less orders stamps lexicographically.
-func (s schedStamp) less(o schedStamp) (bool, bool) {
-	if s.at != o.at {
-		return s.at < o.at, true
-	}
-	if s.pPrio != o.pPrio {
-		return s.pPrio < o.pPrio, true
-	}
-	if s.pAt != o.pAt {
-		return s.pAt < o.pAt, true
-	}
-	if s.pIdx != o.pIdx {
-		return s.pIdx < o.pIdx, true
-	}
-	return false, false
-}
-
 // Event is a schedulable callback. Events are created once and may be
 // scheduled, descheduled, and rescheduled many times, but never scheduled
 // twice concurrently.
 type Event struct {
-	name   string
-	prio   int
-	fire   func()
-	fn     FuncID // host-model function attributed to this event's work
-	domain Domain // owning shard domain under sharded execution
+	name string
+	prio int
+	fire func()
+	fn   FuncID // host-model function attributed to this event's work
 
-	when     Tick
-	seq      uint64
-	pos      int // index in the owning heap, -1 when unscheduled
-	stamp    schedStamp
-	stampSet bool // next insertion keeps the pre-assigned stamp (mailbox post)
+	when Tick
+	seq  uint64
+	pos  int // index in the owning heap, -1 when unscheduled
 }
 
 // NewEvent returns an event with the given debug name, host-function
@@ -104,22 +66,6 @@ func NewEvent(name string, fn FuncID, fire func()) *Event {
 func NewEventPrio(name string, fn FuncID, prio int, fire func()) *Event {
 	return &Event{name: name, prio: prio, fire: fire, fn: fn, pos: -1}
 }
-
-// SetDomain assigns the event to a simulation domain and returns the event
-// for chaining. Events default to DomainCPU; only events whose callback must
-// execute on another domain's shard (the DRAM side of the memory bus) are
-// tagged. The tag is inert unless sharded execution is enabled. It panics if
-// the event is currently scheduled.
-func (e *Event) SetDomain(d Domain) *Event {
-	if e.pos >= 0 {
-		panic(fmt.Sprintf("sim: SetDomain on scheduled event %s", e.name))
-	}
-	e.domain = d
-	return e
-}
-
-// Domain returns the event's simulation domain.
-func (e *Event) Domain() Domain { return e.domain }
 
 // Name returns the event's debug name.
 func (e *Event) Name() string { return e.name }
@@ -142,20 +88,13 @@ func (e *Event) String() string {
 }
 
 // before reports whether e must fire before o: earlier tick first, then lower
-// priority, then the scheduling provenance stamp, then earlier insertion
-// (seq) for stability. The stamp is redundant within one queue (it is
-// monotone in seq, see schedStamp) but makes the order of same-(tick,
-// priority) events from different shards match the single-queue order
-// without a shared insertion counter.
+// priority, then earlier insertion (seq) for stability.
 func (e *Event) before(o *Event) bool {
 	if e.when != o.when {
 		return e.when < o.when
 	}
 	if e.prio != o.prio {
 		return e.prio < o.prio
-	}
-	if less, decided := e.stamp.less(o.stamp); decided {
-		return less
 	}
 	return e.seq < o.seq
 }
@@ -180,109 +119,6 @@ type Queue interface {
 	// ServiceOne advances time to the earliest event and fires it. It
 	// returns false if the queue was empty.
 	ServiceOne() bool
-	// Peek returns the earliest pending event without firing it, or nil if
-	// the queue is empty.
-	Peek() *Event
 	// Len returns the number of pending events.
 	Len() int
 }
-
-// stamper is the shared scheduling-provenance bookkeeping embedded by every
-// Queue implementation: it assigns each inserted event its schedStamp and
-// tracks the dispatch class of the event currently firing.
-type stamper struct {
-	dispWhen Tick // tick of the event being dispatched
-	dispPrio int  // priority of the event being dispatched
-	dispAt   Tick // insertion tick of the event being dispatched
-	dispIdx  uint32
-	// del, when set, is the stamper all provenance operations delegate to.
-	// The sharded engine points every affine group shard's queue at the
-	// coordinator queue's stamper, so insertions across the whole group mint
-	// stamps from one monotone sequence — the group's merged dispatch order
-	// then equals the single-queue order restricted to group events, exactly
-	// as if they shared one queue.
-	del *stamper
-	// panicCtx, when set, is appended to queue panic messages (sharded
-	// execution installs a shard/window description here). It is never
-	// delegated: each queue describes its own shard.
-	panicCtx func() string
-}
-
-// target returns the stamper provenance operations act on (the delegate for
-// affine group queues, st itself otherwise).
-func (st *stamper) target() *stamper {
-	if st.del != nil {
-		return st.del
-	}
-	return st
-}
-
-// shareStamper redirects this queue's provenance bookkeeping to with's
-// stamper. Installed by EnableSharding before any event is inserted.
-func (st *stamper) shareStamper(with *stamper) { st.del = with.target() }
-
-// stamperPtr exposes the embedded stamper for sharing (see shareStamper).
-func (st *stamper) stamperPtr() *stamper { return st }
-
-// stampFor assigns e its insertion stamp unless a pre-assigned stamp (a
-// cross-shard mailbox post carrying the poster's provenance) is pending.
-func (st *stamper) stampFor(e *Event, now Tick) {
-	if e.stampSet {
-		e.stampSet = false
-		return
-	}
-	e.stamp = st.target().takeStamp(now)
-}
-
-// takeStamp mints the next insertion stamp for the current dispatch context.
-// Cross-shard posts consume a stamp from the posting queue exactly like a
-// local insertion would, so local and remote children of one dispatch share
-// a single index sequence — the same order a single queue would produce.
-func (st *stamper) takeStamp(now Tick) schedStamp {
-	t := st.target()
-	s := schedStamp{at: now, pPrio: t.dispPrio, pAt: t.dispAt, pIdx: t.dispIdx}
-	t.dispIdx++
-	return s
-}
-
-// beginDispatch notes the event about to fire. Insertion indices keep
-// counting across consecutive dispatches of the same (tick, priority,
-// insertion-tick) class — such dispatches pop adjacently, since the class is
-// a key prefix under the lexicographic comparator — so children of
-// equal-stamped parents still sort in overall insertion order.
-func (st *stamper) beginDispatch(e *Event) {
-	t := st.target()
-	if e.when != t.dispWhen || e.prio != t.dispPrio || e.stamp.at != t.dispAt {
-		t.dispWhen, t.dispPrio, t.dispAt = e.when, e.prio, e.stamp.at
-		t.dispIdx = 0
-	}
-}
-
-// stampSharer is satisfied by every queue backend via the embedded stamper;
-// the sharded engine uses it to fuse the provenance sequences of affine
-// group shards onto the coordinator queue's stamper.
-type stampSharer interface {
-	shareStamper(with *stamper)
-	stamperPtr() *stamper
-}
-
-// clockSyncer is implemented by queue backends whose clock the sharded
-// engine can advance without firing an event. Before dispatching the merged
-// group's next event at tick t, the coordinator syncs every affine group
-// queue to t so that components constructed against any group view read a
-// consistent Now() (and ScheduleIn computes correct absolute ticks) no
-// matter which shard's queue the fired event came from.
-type clockSyncer interface {
-	syncNow(t Tick)
-}
-
-// context renders the installed panic context, or "".
-func (st *stamper) context() string {
-	if st.panicCtx == nil {
-		return ""
-	}
-	return " [" + st.panicCtx() + "]"
-}
-
-// SetPanicContext installs a description appended to queue panic messages.
-func (st *stamper) SetPanicContext(fn func() string) { st.panicCtx = fn }

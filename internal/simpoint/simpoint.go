@@ -101,23 +101,15 @@ type Result struct {
 // TestCheckpointSeedInvariance), ExecTrace (observation only), and CPU
 // (instruction streams are model-invariant; the profile and checkpoints
 // always come from the Atomic model regardless of the measured target).
-//
-// The resolved shard layout IS included, defensively: sharded execution is
-// bit-identical to serial by design, but that is an invariant the
-// differential suites test, not an axiom the cache may assume. If a
-// layout-dependent divergence bug ever slipped in, shared cache keys would
-// launder a serial-engine checkpoint into a sharded run (or vice versa)
-// and hide the divergence from exactly the suites meant to catch it.
 func ConfigPrefix(gc core.GuestConfig) string {
 	gc = gc.Normalized()
 	hier := "default"
 	if gc.Hierarchy != nil {
 		hier = fmt.Sprintf("%+v", *gc.Hierarchy)
 	}
-	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d mem=%d clk=%d hier=%s ideal=%v gtlb=%v calq=%v shards=%s",
-		gc.Mode, gc.Workload, gc.Scale, gc.BootExit, gc.BootKBs, gc.NumCPUs,
-		gc.MemBytes, gc.ClockPeriod, hier, gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue,
-		core.ShardLayout(gc))
+	return fmt.Sprintf("mode=%s workload=%s scale=%d bootexit=%v bootkbs=%d ncpu=%d mem=%d clk=%d hier=%s ideal=%v gtlb=%v calq=%v",
+		gc.Mode, gc.Workload, gc.Scale, gc.BootExit, gc.BootKBs, gc.Cores,
+		gc.MemBytes, gc.ClockPeriod, hier, gc.IdealMemory, gc.GuestTLBs, gc.CalendarQueue)
 }
 
 // analysis is the per-(config family, sampling params) work shared by
@@ -167,11 +159,11 @@ func RunSampled(sc core.SessionConfig, cfg Config) (*Result, error) {
 	if sc.Profile {
 		return nil, fmt.Errorf("simpoint: sampled mode cannot host the function profiler (its report would cover only representative intervals)")
 	}
-	if sc.Guest.Cores > 1 {
+	gc := sc.Guest.Normalized()
+	if gc.Mode == core.SE && gc.Cores > 1 {
 		return nil, fmt.Errorf("simpoint: sampled mode is single-core only (BBV profiles and checkpoints capture one architectural thread); run the multicore guest full-length")
 	}
 	cfg = cfg.withDefaults()
-	gc := sc.Guest.Normalized()
 	prefix := ConfigPrefix(gc)
 	a := memoFor(prefix, cfg)
 	a.once.Do(func() { a.compute(gc, prefix, cfg) })

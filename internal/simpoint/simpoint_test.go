@@ -294,33 +294,36 @@ func TestConfigPrefixExcludesSeedIncludesExecution(t *testing.T) {
 	// Zero fields and their spelled-out defaults share a prefix.
 	e := testGuest()
 	e.MemBytes = 16 * 1024 * 1024
-	e.NumCPUs = 1
+	e.Cores = 1
 	if simpoint.ConfigPrefix(a) != simpoint.ConfigPrefix(e) {
 		t.Fatal("prefix distinguishes defaulted and explicit fields")
 	}
+	f := testGuest()
+	f.Cores = 2
+	if simpoint.ConfigPrefix(a) == simpoint.ConfigPrefix(f) {
+		t.Fatal("prefix ignores core count")
+	}
 }
 
-// TestConfigPrefixShardLayout pins that checkpoint cache keys split on the
-// resolved shard layout: a sharded and a serial run never exchange cached
-// checkpoints, so a hypothetical layout-dependent divergence could not be
-// laundered through the cache past the differential suites. Resolution —
-// not the raw mode — is what's keyed: an Atomic guest clamps to serial, so
-// requesting shards there must NOT split the key.
+// TestConfigPrefixShardLayout pins that checkpoint cache keys carry no shard
+// layout: every guest runs on one event queue whatever the deprecated
+// GuestConfig.Shards says, so configs that differ only there share cached
+// checkpoints, and no key spells a shards= field.
 func TestConfigPrefixShardLayout(t *testing.T) {
-	a := testGuest()
-	s := testGuest()
-	s.Shards = 2
-	if simpoint.ConfigPrefix(a) == simpoint.ConfigPrefix(s) {
-		t.Fatal("prefix ignores shard layout")
-	}
-	if !strings.Contains(simpoint.ConfigPrefix(s), "shards=cpu+dev|mem") {
-		t.Fatalf("sharded prefix missing layout: %q", simpoint.ConfigPrefix(s))
-	}
-	at := testGuest()
-	at.CPU = core.Atomic
-	ats := at
-	ats.Shards = 2
-	if simpoint.ConfigPrefix(at) != simpoint.ConfigPrefix(ats) {
-		t.Fatal("prefix splits on a shard request the Atomic model clamps away")
+	for _, cpu := range []core.CPUModel{core.Timing, core.Atomic} {
+		a := testGuest()
+		a.CPU = cpu
+		for _, shards := range []core.ShardMode{core.ShardAuto, core.ShardSerial, 2, 5} {
+			s := a
+			s.Shards = shards
+			if simpoint.ConfigPrefix(a) != simpoint.ConfigPrefix(s) {
+				t.Fatalf("cpu=%v shards=%v: prefix splits on the ignored shard mode:\n%q\n%q",
+					cpu, shards, simpoint.ConfigPrefix(a), simpoint.ConfigPrefix(s))
+			}
+			if strings.Contains(simpoint.ConfigPrefix(s), "shards=") {
+				t.Fatalf("cpu=%v shards=%v: prefix names a shard layout: %q",
+					cpu, shards, simpoint.ConfigPrefix(s))
+			}
+		}
 	}
 }

@@ -126,11 +126,16 @@ func TestCacheDifferential(t *testing.T) {
 		ref := newNaiveCache(g)
 		rng := rand.New(rand.NewSource(int64(gi) + 42))
 		footprint := 4 * g.SizeBytes
+		var prev uint64
 		for i := 0; i < 60000; i++ {
 			addr := rng.Uint64() % footprint
-			if rng.Intn(3) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				addr = rng.Uint64() % (g.SizeBytes / 4) // hot subset
+			case 1:
+				addr = prev ^ rng.Uint64()%g.LineBytes // repeat the previous block
 			}
+			prev = addr
 			c.evictedOK = false
 			gotHit := c.access(addr)
 			wantHit, wantEv, wantEvOK := ref.access(addr)

@@ -44,6 +44,13 @@ type cache struct {
 	ways     uint64
 	seq      uint64
 
+	// mru is the line the previous access hit or filled, and mruBlock its
+	// block address. Lines change only in access, so a repeat of the
+	// previous block is a hit on that line: refreshing its LRU stamp is
+	// exactly what the set scan would do.
+	mru      *cacheLine
+	mruBlock uint64
+
 	Accesses uint64
 	Misses   uint64
 	resident uint64 // valid line count for occupancy
@@ -78,15 +85,20 @@ func newCache(g CacheGeom) *cache {
 func (c *cache) access(addr uint64) bool {
 	c.Accesses++
 	block := addr >> c.lineBits
+	c.seq++
+	if c.mru != nil && block == c.mruBlock {
+		c.mru.lru = c.seq
+		return true
+	}
 	base := (block & c.setMask) * c.ways
 	set := c.lines[base : base+c.ways]
 	tag := block >> c.setBits
-	c.seq++
 	victim := &set[0]
 	for i := range set {
 		l := &set[i]
 		if l.valid && l.tag == tag {
 			l.lru = c.seq
+			c.mru, c.mruBlock = l, block
 			return true
 		}
 		if !l.valid {
@@ -104,6 +116,7 @@ func (c *cache) access(addr uint64) bool {
 	victim.tag = tag
 	victim.valid = true
 	victim.lru = c.seq
+	c.mru, c.mruBlock = victim, block
 	return false
 }
 

@@ -15,11 +15,18 @@ func init() {
 	})
 }
 
+// sieveMaxScale is the largest sieve size whose i*i (for i < scale) fits
+// in a 32-bit register.
+const sieveMaxScale = 65536
+
 // buildSieve generates the Sieve of Eratosthenes counting primes below
 // scale, the "simple C++ program" the paper runs on gem5-on-FireSim.
 func buildSieve(scale int) (*isa.Program, uint32, error) {
 	if scale < 4 {
 		return nil, 0, fmt.Errorf("workloads: sieve scale %d too small", scale)
+	}
+	if scale > sieveMaxScale {
+		return nil, 0, fmt.Errorf("workloads: sieve scale %d above %d (i*i overflows 32 bits)", scale, sieveMaxScale)
 	}
 	src := prologue() + fmt.Sprintf(`
 	la   s0, flags
@@ -34,7 +41,7 @@ outer:
 	addi a0, a0, 1       # found a prime
 	mul  t3, t0, t0      # j = i*i
 mark:
-	bge  t3, s1, skip
+	bgeu t3, s1, skip    # unsigned: i*i passes 2^31 from i = 46341
 	add  t4, s0, t3
 	li   t5, 1
 	sb   t5, 0(t4)

@@ -167,7 +167,7 @@ func TestFSMultiCore(t *testing.T) {
 		CPU:      core.Atomic,
 		Mode:     core.FS,
 		BootExit: true,
-		NumCPUs:  4,
+		Cores:    4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,6 +255,26 @@ func TestWorkloadScaleValidation(t *testing.T) {
 	spec, _ := workloads.ByName("canneal")
 	if _, _, err := spec.Build(100); err == nil {
 		t.Error("canneal: non-power-of-two scale should fail")
+	}
+}
+
+// TestSieveLargeScales covers the scales at which i*i no longer fits a
+// signed 32-bit compare (46350 is the first failing scale of a signed
+// bound check) up to the largest scale whose i*i fits 32 bits, and the
+// first scale past it, which must be rejected.
+func TestSieveLargeScales(t *testing.T) {
+	for _, scale := range []int{46350, 65536} {
+		res, err := core.RunGuest(core.GuestConfig{CPU: core.Atomic, Workload: "sieve", Scale: scale})
+		if err != nil {
+			t.Fatalf("scale %d: %v", scale, err)
+		}
+		if !res.ChecksumOK {
+			t.Errorf("scale %d: checksum got %d want %d", scale, uint32(res.ExitCode), res.Expected)
+		}
+	}
+	spec, _ := workloads.ByName("sieve")
+	if _, _, err := spec.Build(65537); err == nil {
+		t.Error("sieve: scale 65537 should fail")
 	}
 }
 
