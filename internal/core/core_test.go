@@ -39,6 +39,21 @@ func TestRunGuestErrors(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsInvalidHost checks that a host config the uarch
+// constructors cannot build is returned as an error, not a panic.
+func TestSessionRejectsInvalidHost(t *testing.T) {
+	host := platform.IntelXeon()
+	host.L1I.Ways = 0
+	_, err := core.RunSession(core.SessionConfig{
+		Guest:    core.GuestConfig{Workload: "sieve", Scale: 64},
+		Host:     host,
+		Scenario: platform.Scenario{Procs: 2},
+	})
+	if err == nil || !strings.Contains(err.Error(), "L1I") {
+		t.Fatalf("RunSession with a zero-way L1I: err = %v, want an L1I error", err)
+	}
+}
+
 // TestCoresBounds pins the one core-count knob: 0 defaults to one core,
 // MaxCores builds, and anything past it (or negative) is rejected at build
 // time in both SE and FS mode.

@@ -104,7 +104,11 @@ func newCosimOn(prev *cosim, cfg SessionConfig, build func(tr sim.Tracer) (*Gues
 		cs.guest = g
 		return cs, nil
 	}
-	machine := uarch.NewMachine(platform.Contend(cfg.Host, cfg.Scenario))
+	host := platform.Contend(cfg.Host, cfg.Scenario)
+	if err := host.Validate(); err != nil {
+		return nil, err
+	}
+	machine := uarch.NewMachine(host)
 	cs := &cosim{machine: machine}
 
 	hc := cfg.HostCode

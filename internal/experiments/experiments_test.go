@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"gem5prof/internal/platform"
+	"gem5prof/internal/uarch"
 )
 
 var quickOpt = Options{Quick: true}
@@ -22,6 +25,31 @@ func TestIDsComplete(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ids = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestHostConfigsValidate checks that every host the experiments build
+// passes uarch.Config.Validate: the Table II platforms and FireSim base,
+// each contended at 2, 4 and 8 processes with and without SMT, and every
+// Fig. 14 FireSim geometry.
+func TestHostConfigsValidate(t *testing.T) {
+	hosts := append(platform.TableIIPlatforms(), platform.FireSimBase())
+	var cfgs []uarch.Config
+	for _, h := range hosts {
+		cfgs = append(cfgs, h)
+		for _, procs := range []int{2, 4, 8} {
+			for _, smt := range []bool{false, true} {
+				cfgs = append(cfgs, platform.Contend(h, platform.Scenario{Procs: procs, SMT: smt}))
+			}
+		}
+	}
+	cfgs = append(cfgs, fig14Geometries()...)
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
+			continue
+		}
+		uarch.NewMachine(cfg)
 	}
 }
 

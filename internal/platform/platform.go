@@ -220,8 +220,12 @@ func Contend(cfg uarch.Config, sc Scenario) uarch.Config {
 }
 
 // shrinkWays partitions a cache by dividing associativity, keeping the set
-// count (and therefore power-of-two indexing) intact.
+// count (and therefore power-of-two indexing) intact. An absent level (the
+// FireSim Rocket's LLC) stays absent.
 func shrinkWays(g uarch.CacheGeom, factor int) uarch.CacheGeom {
+	if g.SizeBytes == 0 {
+		return g
+	}
 	ways := g.Ways / factor
 	if ways < 1 {
 		ways = 1

@@ -123,6 +123,21 @@ func TestContendSMT(t *testing.T) {
 	}
 }
 
+// TestContendSmallDSBBuilds checks that halving a uop cache below one
+// DSB set under SMT still yields a machine NewMachine can build.
+func TestContendSmallDSBBuilds(t *testing.T) {
+	x := IntelXeon()
+	x.DSBUops = 300
+	c := Contend(x, Scenario{Procs: 2, SMT: true})
+	if c.DSBUops != 150 {
+		t.Fatalf("DSBUops = %d, want 150", c.DSBUops)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	uarch.NewMachine(c)
+}
+
 func TestContendM1PartitionsClusterL2(t *testing.T) {
 	p := M1Pro()
 	c := Contend(p, Scenario{Procs: 4})
@@ -139,6 +154,9 @@ func TestShrinkWaysFloor(t *testing.T) {
 	}
 	if s.Sets() != g.Sets() {
 		t.Fatal("set count changed")
+	}
+	if none := shrinkWays(uarch.CacheGeom{}, 4); none != (uarch.CacheGeom{}) {
+		t.Fatalf("absent level became %+v", none)
 	}
 }
 

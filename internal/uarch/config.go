@@ -76,16 +76,41 @@ type Config struct {
 }
 
 // Validate checks internal consistency, including the VIPT constraint the
-// paper leans on: one L1 way must not exceed the page size.
+// paper leans on: one L1 way must not exceed the page size. A config it
+// accepts builds with NewMachine.
 func (c *Config) Validate() error {
 	if c.FreqGHz <= 0 || c.PageBytes == 0 {
 		return fmt.Errorf("uarch: %s: frequency and page size required", c.Name)
 	}
+	type level struct {
+		name string
+		g    CacheGeom
+	}
+	caches := []level{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}}
+	if c.LLC.SizeBytes > 0 { // two-level hosts have no LLC
+		caches = append(caches, level{"LLC", c.LLC})
+	}
+	for _, l := range caches {
+		if err := l.g.validate(); err != nil {
+			return fmt.Errorf("uarch: %s: %s %v", c.Name, l.name, err)
+		}
+	}
+	type table struct {
+		name    string
+		entries int
+	}
+	for _, t := range []table{{"ITLB", c.ITLBEntries}, {"DTLB", c.DTLBEntries}, {"STLB", c.STLBEntries}} {
+		if t.entries <= 0 {
+			return fmt.Errorf("uarch: %s: %s needs entries, got %d", c.Name, t.name, t.entries)
+		}
+	}
+	for _, t := range []table{{"branch predictor table", c.BPTableEntries}, {"BTB", c.BTBEntries}} {
+		if t.entries <= 0 || !isPow2(uint64(t.entries)) {
+			return fmt.Errorf("uarch: %s: %s size %d is not a nonzero power of two", c.Name, t.name, t.entries)
+		}
+	}
 	if !c.SkipVIPTCheck {
-		for _, l1 := range []struct {
-			name string
-			g    CacheGeom
-		}{{"L1I", c.L1I}, {"L1D", c.L1D}} {
+		for _, l1 := range caches[:2] {
 			wayBytes := l1.g.SizeBytes / uint64(l1.g.Ways)
 			if wayBytes > c.PageBytes {
 				return fmt.Errorf("uarch: %s: %s way (%d B) exceeds page size (%d B): VIPT constraint violated",
@@ -101,3 +126,21 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// validate checks the geometry newCache relies on: at least one way, a
+// power-of-two line of at least 2 bytes (so a stored tag+1 cannot wrap),
+// and a nonzero power-of-two set count.
+func (g CacheGeom) validate() error {
+	if g.Ways <= 0 {
+		return fmt.Errorf("needs at least one way, got %d", g.Ways)
+	}
+	if g.LineBytes < 2 || !isPow2(g.LineBytes) {
+		return fmt.Errorf("line size %d B is not a power of two of at least 2", g.LineBytes)
+	}
+	if s := g.Sets(); !isPow2(s) {
+		return fmt.Errorf("set count %d is not a nonzero power of two", s)
+	}
+	return nil
+}
+
+func isPow2(n uint64) bool { return n != 0 && n&(n-1) == 0 }

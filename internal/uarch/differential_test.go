@@ -8,6 +8,7 @@ package uarch
 // popcount; scan-based fully-associative LRU entry file).
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -21,6 +22,13 @@ func naivePopcount(mask uint64) uint {
 		mask >>= 1
 	}
 	return n
+}
+
+// cacheLine is the pre-refactor array-of-structs cache line.
+type cacheLine struct {
+	tag   uint64
+	valid bool
+	lru   uint64
 }
 
 // naiveCache is the pre-refactor set-associative LRU cache.
@@ -110,20 +118,65 @@ func (t *naiveTLB) access(page uint64) (bool, uint64, bool) {
 	return false, evPage, evOK
 }
 
+// differentialGeoms are the cache geometries the differential test and
+// FuzzCacheDifferential compare against the naive reference.
+var differentialGeoms = []CacheGeom{
+	{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64},     // 8 sets
+	{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},    // L1-like
+	{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64},    // L2-like
+	{SizeBytes: 48 << 10, Ways: 12, LineBytes: 64},   // non-power-of-two ways
+	{SizeBytes: 2 << 10, Ways: 1, LineBytes: 32},     // direct-mapped
+	{SizeBytes: 192 << 10, Ways: 12, LineBytes: 128}, // M1-class L1I
+}
+
+// tagZeroPrefix returns addresses that fill block 0 (tag 0 of set 0),
+// hit it, then evict it by filling set 0 with ways more blocks: under the
+// tag+1 encoding tag 0 must miss when cold, hit when resident, and be
+// reported as the evicted tag 0 rather than confused with an empty way.
+func tagZeroPrefix(g CacheGeom) []uint64 {
+	stride := g.Sets() * g.LineBytes
+	addrs := []uint64{0, g.LineBytes - 1}
+	for k := 1; k <= g.Ways; k++ {
+		addrs = append(addrs, uint64(k)*stride)
+	}
+	return append(addrs, 0)
+}
+
+// stepCache feeds addr to c and ref, then probes p on both, and describes
+// the first disagreement ("" when they agree).
+func stepCache(c *cache, ref *naiveCache, addr, p uint64) string {
+	c.evictedOK = false
+	gotHit := c.access(addr)
+	wantHit, wantEv, wantEvOK := ref.access(addr)
+	if gotHit != wantHit || c.evictedOK != wantEvOK ||
+		(wantEvOK && c.evictedTag != wantEv) {
+		return fmt.Sprintf("addr %#x: got (hit=%v ev=%#x,%v) want (hit=%v ev=%#x,%v)",
+			addr, gotHit, c.evictedTag, c.evictedOK, wantHit, wantEv, wantEvOK)
+	}
+	// probe must agree with a state-preserving membership check.
+	if got, want := c.probe(p), refProbe(ref, p); got != want {
+		return fmt.Sprintf("probe(%#x) = %v, want %v", p, got, want)
+	}
+	return ""
+}
+
 // TestCacheDifferential drives the flattened cache and the naive
 // reference with identical randomized streams across several geometries,
 // comparing hit/miss and eviction victims on every access.
 func TestCacheDifferential(t *testing.T) {
-	geoms := []CacheGeom{
-		{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64},   // 8 sets
-		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},  // L1-like
-		{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64},  // L2-like
-		{SizeBytes: 48 << 10, Ways: 12, LineBytes: 64}, // non-power-of-two ways
-		{SizeBytes: 2 << 10, Ways: 1, LineBytes: 32},   // direct-mapped
-	}
-	for gi, g := range geoms {
+	for gi, g := range differentialGeoms {
 		c := newCache(g)
 		ref := newNaiveCache(g)
+		sawTagZeroEviction := false
+		for i, addr := range tagZeroPrefix(g) {
+			if msg := stepCache(c, ref, addr, 0); msg != "" {
+				t.Fatalf("geom %d tag-0 step %d: %s", gi, i, msg)
+			}
+			sawTagZeroEviction = sawTagZeroEviction || (c.evictedOK && c.evictedTag == 0)
+		}
+		if !sawTagZeroEviction {
+			t.Fatalf("geom %d: tag-0 prefix never evicted tag 0", gi)
+		}
 		rng := rand.New(rand.NewSource(int64(gi) + 42))
 		footprint := 4 * g.SizeBytes
 		var prev uint64
@@ -136,21 +189,39 @@ func TestCacheDifferential(t *testing.T) {
 				addr = prev ^ rng.Uint64()%g.LineBytes // repeat the previous block
 			}
 			prev = addr
-			c.evictedOK = false
-			gotHit := c.access(addr)
-			wantHit, wantEv, wantEvOK := ref.access(addr)
-			if gotHit != wantHit || c.evictedOK != wantEvOK ||
-				(wantEvOK && c.evictedTag != wantEv) {
-				t.Fatalf("geom %d step %d addr %#x: got (hit=%v ev=%#x,%v) want (hit=%v ev=%#x,%v)",
-					gi, i, addr, gotHit, c.evictedTag, c.evictedOK, wantHit, wantEv, wantEvOK)
-			}
-			// probe must agree with a state-preserving membership check.
-			p := rng.Uint64() % footprint
-			if c.probe(p) != refProbe(ref, p) {
-				t.Fatalf("geom %d step %d: probe(%#x) disagrees", gi, i, p)
+			if msg := stepCache(c, ref, addr, rng.Uint64()%footprint); msg != "" {
+				t.Fatalf("geom %d step %d: %s", gi, i, msg)
 			}
 		}
 	}
+}
+
+// FuzzCacheDifferential compares the cache with the naive reference on a
+// fuzzed geometry choice and address stream. Each step takes three bytes:
+// op selects a repeat of the previous block (op%4 == 0) or the block
+// number in the next two bytes; the probe uses those bytes swapped.
+func FuzzCacheDifferential(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 0, 0, 1, 0, 8, 1, 0, 16, 0, 0, 0, 1, 0, 0})
+	f.Add(uint8(5), []byte{1, 0, 0, 0, 0, 0, 3, 1, 2, 3, 2, 1, 7, 9, 9})
+	f.Add(uint8(2), []byte{2, 0, 4, 6, 4, 0, 0, 0, 0, 9, 255, 255})
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		g := differentialGeoms[int(sel)%len(differentialGeoms)]
+		c := newCache(g)
+		ref := newNaiveCache(g)
+		var prev uint64
+		for i := 0; i+3 <= len(data); i += 3 {
+			op, hi, lo := data[i], data[i+1], data[i+2]
+			addr := (uint64(hi)<<8|uint64(lo))*g.LineBytes + uint64(op)%g.LineBytes
+			if op%4 == 0 {
+				addr = prev ^ uint64(op)%g.LineBytes
+			}
+			prev = addr
+			p := (uint64(lo)<<8 | uint64(hi)) * g.LineBytes
+			if msg := stepCache(c, ref, addr, p); msg != "" {
+				t.Fatalf("geom %+v step %d: %s", g, i/3, msg)
+			}
+		}
+	})
 }
 
 func refProbe(c *naiveCache, addr uint64) bool {
@@ -174,8 +245,13 @@ func TestTLBDifferential(t *testing.T) {
 			tl := newTLB(entries)
 			ref := newNaiveTLB(entries)
 			rng := rand.New(rand.NewSource(int64(entries)*31 + int64(pages)))
+			var prev uint64
 			for i := 0; i < 40000; i++ {
 				page := (rng.Uint64() % pages) << 12
+				if rng.Intn(4) == 0 {
+					page = prev // repeat the previous page
+				}
+				prev = page
 				tl.evictedOK = false
 				gotHit := tl.access(page)
 				wantHit, wantEv, wantEvOK := ref.access(page)

@@ -109,10 +109,11 @@ func NewMachine(cfg Config) *Machine {
 		// effective reach in code bytes is about one byte per uop capacity
 		// once per-window fragmentation is accounted for, so only loops of
 		// roughly a kilobyte live entirely out of it.
-		reach := uint64(cfg.DSBUops)
-		ways := 8
-		for reach/(uint64(ways)*32)&(reach/(uint64(ways)*32)-1) != 0 {
-			reach += 32 * uint64(ways) // round up to a power-of-two set count
+		const ways = 8
+		const setBytes = ways * 32
+		reach := max(uint64(cfg.DSBUops), setBytes) // at least one set
+		for !isPow2(reach / setBytes) {
+			reach += setBytes // round up to a power-of-two set count
 		}
 		m.dsb = newCache(CacheGeom{SizeBytes: reach, Ways: ways, LineBytes: 32})
 	}

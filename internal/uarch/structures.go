@@ -24,31 +24,30 @@ func (g CacheGeom) Sets() uint64 {
 	return g.SizeBytes / (uint64(g.Ways) * g.LineBytes)
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-}
-
-// cache is a set-associative LRU cache over 64-bit host addresses. The
-// line array is a single contiguous set-major slice (lines[set*ways+way])
-// rather than a slice-of-slices: one allocation, no per-access pointer
-// chase, and the set/tag shifts are computed once at construction instead
+// cache is a set-associative LRU cache over 64-bit host addresses. Its
+// state is two parallel set-major arrays indexed [set*ways+way]: tags
+// holds tag+1 (0 marks an empty way, so a fresh make is an empty cache and
+// construction touches no pages) and lru holds each way's last-use stamp
+// (0 while empty). A hit compares only the set's tags, which for 8 ways
+// fill one host cache line; the LRU stamps are scanned for a victim only
+// on a miss. The set/tag shifts are computed once at construction instead
 // of popcounting the mask on every lookup.
 type cache struct {
 	geom     CacheGeom
-	lines    []cacheLine // sets × ways, set-major
+	tags     []uint64 // sets × ways, set-major: tag+1, 0 = empty
+	lru      []uint64 // sets × ways, set-major: last-use stamp, 0 = empty
 	setMask  uint64
 	setBits  uint
 	lineBits uint
 	ways     uint64
 	seq      uint64
 
-	// mru is the line the previous access hit or filled, and mruBlock its
-	// block address. Lines change only in access, so a repeat of the
-	// previous block is a hit on that line: refreshing its LRU stamp is
-	// exactly what the set scan would do.
-	mru      *cacheLine
+	// mru is the index (into tags and lru) of the way the previous access
+	// hit or filled, and mruBlock its block address; mruBlock starts at a
+	// value no block can take (lineBits >= 1). Ways change only in access,
+	// so a repeat of the previous block is a hit on that way: refreshing
+	// its LRU stamp is exactly what the set scan would do.
+	mru      uint64
 	mruBlock uint64
 
 	Accesses uint64
@@ -63,22 +62,21 @@ type cache struct {
 }
 
 func newCache(g CacheGeom) *cache {
+	if err := g.validate(); err != nil {
+		panic("uarch: cache " + err.Error())
+	}
 	sets := g.Sets()
-	if sets == 0 || sets&(sets-1) != 0 {
-		panic("uarch: cache set count must be a nonzero power of two")
-	}
-	if g.LineBytes&(g.LineBytes-1) != 0 {
-		panic("uarch: line size must be a power of two")
-	}
-	c := &cache{
+	n := sets * uint64(g.Ways)
+	return &cache{
 		geom:     g,
 		setMask:  sets - 1,
 		setBits:  uint(bits.OnesCount64(sets - 1)),
 		lineBits: uint(bits.TrailingZeros64(g.LineBytes)),
 		ways:     uint64(g.Ways),
-		lines:    make([]cacheLine, sets*uint64(g.Ways)),
+		tags:     make([]uint64, n),
+		lru:      make([]uint64, n),
+		mruBlock: ^uint64(0),
 	}
-	return c
 }
 
 // access looks up addr, filling on miss. Returns true on hit.
@@ -86,37 +84,40 @@ func (c *cache) access(addr uint64) bool {
 	c.Accesses++
 	block := addr >> c.lineBits
 	c.seq++
-	if c.mru != nil && block == c.mruBlock {
-		c.mru.lru = c.seq
+	if block == c.mruBlock {
+		c.lru[c.mru] = c.seq
 		return true
 	}
 	base := (block & c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	tag := block >> c.setBits
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			l.lru = c.seq
-			c.mru, c.mruBlock = l, block
+	tags := c.tags[base : base+c.ways]
+	want := block>>c.setBits + 1
+	for i, t := range tags {
+		if t == want {
+			w := base + uint64(i)
+			c.lru[w] = c.seq
+			c.mru, c.mruBlock = w, block
 			return true
-		}
-		if !l.valid {
-			victim = l
-		} else if victim.valid && l.lru < victim.lru {
-			victim = l
 		}
 	}
 	c.Misses++
-	if !victim.valid {
+	// Victim: the last way with the smallest stamp. Empty ways are the
+	// only ones stamped 0 and filled ways carry distinct stamps, so this
+	// is the last empty way if there is one, otherwise the exact LRU way.
+	lru := c.lru[base : base+c.ways]
+	v := 0
+	for i := 1; i < len(lru); i++ {
+		if lru[i] <= lru[v] {
+			v = i
+		}
+	}
+	if tags[v] == 0 {
 		c.resident++
 	} else {
-		c.evictedTag, c.evictedOK = victim.tag, true
+		c.evictedTag, c.evictedOK = tags[v]-1, true
 	}
-	victim.tag = tag
-	victim.valid = true
-	victim.lru = c.seq
-	c.mru, c.mruBlock = victim, block
+	tags[v] = want
+	lru[v] = c.seq
+	c.mru, c.mruBlock = base+uint64(v), block
 	return false
 }
 
@@ -124,10 +125,9 @@ func (c *cache) access(addr uint64) bool {
 func (c *cache) probe(addr uint64) bool {
 	block := addr >> c.lineBits
 	base := (block & c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	tag := block >> c.setBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	want := block>>c.setBits + 1
+	for _, t := range c.tags[base : base+c.ways] {
+		if t == want {
 			return true
 		}
 	}

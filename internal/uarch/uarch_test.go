@@ -328,6 +328,65 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejects checks that each geometry NewMachine cannot build is
+// rejected by Validate with an error naming the structure, instead of a
+// panic in Validate or in the constructors.
+func TestValidateRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"L1I", func(c *Config) { c.L1I.Ways = 0 }},
+		{"L1D", func(c *Config) { c.L1D.Ways = -2 }},
+		{"L1I", func(c *Config) { c.L1I.LineBytes = 1 }},
+		{"L1D", func(c *Config) { c.L1D.LineBytes = 48 }},
+		{"L2", func(c *Config) { c.L2.LineBytes = 0 }},
+		{"L2", func(c *Config) { c.L2.SizeBytes = 3 << 20 }},
+		{"LLC", func(c *Config) { c.LLC.SizeBytes = 12 << 20 }},
+		{"LLC", func(c *Config) { c.LLC.Ways = 0 }},
+		{"L1D", func(c *Config) { c.L1D.SizeBytes = 256 }},
+		{"ITLB", func(c *Config) { c.ITLBEntries = 0 }},
+		{"DTLB", func(c *Config) { c.DTLBEntries = -1 }},
+		{"STLB", func(c *Config) { c.STLBEntries = 0 }},
+		{"branch predictor", func(c *Config) { c.BPTableEntries = 3000 }},
+		{"branch predictor", func(c *Config) { c.BPTableEntries = 0 }},
+		{"BTB", func(c *Config) { c.BTBEntries = 1000 }},
+		{"BTB", func(c *Config) { c.BTBEntries = -4 }},
+	} {
+		cfg := testConfig()
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s %+v: Validate() = %v, want an error naming %s", tc.name, cfg, err, tc.name)
+		}
+	}
+	// The geometry checks run before the VIPT check, so SkipVIPTCheck does
+	// not let a zero-way L1 through either.
+	cfg := testConfig()
+	cfg.L1I.Ways, cfg.SkipVIPTCheck = 0, true
+	if err := cfg.Validate(); err == nil {
+		t.Error("zero-way L1I accepted with SkipVIPTCheck")
+	}
+}
+
+// TestSmallDSBBuilds checks that a uop cache smaller than one DSB set
+// (8 ways × 32 B) still gets one set instead of none.
+func TestSmallDSBBuilds(t *testing.T) {
+	for _, uops := range []int{1, 100, 255, 256, 300} {
+		cfg := testConfig()
+		cfg.DSBUops = uops
+		m := NewMachine(cfg)
+		if m.dsb.geom.Sets() == 0 {
+			t.Fatalf("DSBUops %d: no DSB sets", uops)
+		}
+		m.FetchBlock(0x40_0000, 16, 4)
+		m.FetchBlock(0x40_0000, 16, 4)
+		if m.uopsDSB == 0 {
+			t.Fatalf("DSBUops %d: repeated block not delivered by the DSB", uops)
+		}
+	}
+}
+
 func TestHugePageModeString(t *testing.T) {
 	if PagesBase.String() != "base" || PagesTHP.String() != "thp" || PagesEHP.String() != "ehp" {
 		t.Fatal("mode strings wrong")
