@@ -112,8 +112,8 @@ func RunModel(model string, prog *isa.Program, caches bool, commit func(pc uint3
 	}
 	cfg := cpu.Config{Name: "cpu0", Mem: memAdapter{gm}, Env: &exitEnv{sys}}
 	if caches {
-		hier := mem.NewHierarchy(sys, mem.DefaultHierarchyConfig("sys"))
-		cfg.IPort, cfg.DPort = hier.L1I, hier.L1D
+		hier := mem.NewMultiHierarchy(sys, mem.DefaultHierarchyConfig("sys"), 1)
+		cfg.IPort, cfg.DPort = hier.L1I[0], hier.L1D[0]
 	}
 	var c cpu.CPU
 	switch model {

@@ -34,7 +34,7 @@ type rig struct {
 	sys  *sim.System
 	mem  *guest.Memory
 	cpu  CPU
-	hier *mem.Hierarchy
+	hier *mem.MultiHierarchy
 }
 
 // buildRig assembles src and constructs a CPU of the given model
@@ -58,9 +58,9 @@ func buildRig(t *testing.T, model, src string, caches bool) *rig {
 	}
 	r := &rig{sys: sys, mem: gm}
 	if caches {
-		r.hier = mem.NewHierarchy(sys, mem.DefaultHierarchyConfig("sys"))
-		cfg.IPort = r.hier.L1I
-		cfg.DPort = r.hier.L1D
+		r.hier = mem.NewMultiHierarchy(sys, mem.DefaultHierarchyConfig("sys"), 1)
+		cfg.IPort = r.hier.L1I[0]
+		cfg.DPort = r.hier.L1D[0]
 	}
 	switch model {
 	case "atomic":
@@ -181,7 +181,7 @@ func TestAllModelsMemory(t *testing.T) {
 			if got := r.cpu.Core().ReadReg(10); got != want {
 				t.Fatalf("a0 = %d, want %d", got, want)
 			}
-			if r.hier.L1D.Misses() == 0 {
+			if r.hier.L1D[0].Misses() == 0 {
 				t.Fatal("no L1D misses recorded")
 			}
 			if r.cpu.Core().numLoads.Count() != 64 || r.cpu.Core().numStores.Count() != 64 {

@@ -152,10 +152,10 @@ func buildRigO3(t *testing.T, src string, ocfg O3Config) *rig {
 	if err := gm.Load(prog); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	hier := mem.NewHierarchy(sys, mem.DefaultHierarchyConfig("sys"))
+	hier := mem.NewMultiHierarchy(sys, mem.DefaultHierarchyConfig("sys"), 1)
 	cfg := Config{
 		Name: "cpu0", Mem: memAdapter{gm}, Env: &haltEnv{sys},
-		IPort: hier.L1I, DPort: hier.L1D,
+		IPort: hier.L1I[0], DPort: hier.L1D[0],
 	}
 	r := &rig{sys: sys, mem: gm, hier: hier}
 	c := NewO3CPU(sys, cfg, ocfg)
@@ -186,7 +186,7 @@ func TestStatsRegistryExposesPipelineCounters(t *testing.T) {
 	for _, name := range []string{
 		"cpu0.committedInsts", "cpu0.numCycles", "cpu0.squashes",
 		"cpu0.robFullStalls", "cpu0.bpLookups", "cpu0.bpMispredicts",
-		"sys.l1i.hits", "sys.l2.misses", "sys.dram.reads",
+		"sys.l1i0.hits", "sys.l2.misses", "sys.dram.reads",
 	} {
 		if r.sys.Stats().Lookup(name) == nil {
 			t.Errorf("stat %q missing", name)

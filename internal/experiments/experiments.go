@@ -57,20 +57,20 @@ type Options struct {
 }
 
 // withRunner returns opt with its worker pool (and checkpoint cache, if
-// configured) materialized.
-func (o Options) withRunner() Options {
+// configured) materialized. A checkpoint cache directory that cannot be
+// opened is an error, not a silent fallback to uncached sampling.
+func (o Options) withRunner() (Options, error) {
 	if o.runner == nil {
 		o.runner = NewRunner(o.Jobs)
 	}
 	if o.ckptCache == nil && o.CkptCacheDir != "" {
 		cache, err := ckptcache.Open(o.CkptCacheDir)
-		if err == nil {
-			o.ckptCache = cache
+		if err != nil {
+			return o, fmt.Errorf("experiments: checkpoint cache: %w", err)
 		}
-		// An unopenable cache directory degrades to uncached sampling;
-		// sampled results are identical either way.
+		o.ckptCache = cache
 	}
-	return o
+	return o, nil
 }
 
 // Row is one labeled series of values.
@@ -153,7 +153,11 @@ func Run(id string, opt Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return r(opt.withRunner())
+	opt, err := opt.withRunner()
+	if err != nil {
+		return nil, err
+	}
+	return r(opt)
 }
 
 // geomean returns the geometric mean of vs.

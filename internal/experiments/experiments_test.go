@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -130,6 +131,7 @@ func TestTopdownFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFig03Shape(t, f3)
 	f5, err := Run("fig05", quickOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +142,63 @@ func TestTopdownFigures(t *testing.T) {
 			t.Errorf("%s MITE share %.0f%%, want dominant", row.Label, row.Values[2])
 		}
 	}
-	_ = f3
+}
+
+// checkFig03Shape asserts the paper's Fig. 3 claims on its rows (columns:
+// fe-latency, fe-bandwidth): per workload, the detailed models (O3, Minor)
+// are more front-end latency-bound and less bandwidth-bound than the simple
+// ones (Timing, Atomic); a detailed model is latency- over bandwidth-bound;
+// and every gem5 row is more bandwidth-bound than every SPEC row.
+func checkFig03Shape(t *testing.T, f3 *Result) {
+	t.Helper()
+	if len(f3.Rows) != 11 {
+		t.Fatalf("fig03 rows = %d, want 8 gem5 + 3 SPEC", len(f3.Rows))
+	}
+	byLabel := map[string]Row{}
+	for _, r := range f3.Rows {
+		byLabel[r.Label] = r
+	}
+	get := func(label string) Row {
+		r, ok := byLabel[label]
+		if !ok {
+			t.Fatalf("fig03: no row %q", label)
+		}
+		return r
+	}
+	detailed, simple := []string{"O3", "MINOR"}, []string{"TIMING", "ATOMIC"}
+	for _, wl := range []string{"BOOT_EXIT", "PARSEC"} {
+		minDetLat, maxDetBW := math.Inf(1), math.Inf(-1)
+		for _, m := range detailed {
+			r := get(m + "_" + wl)
+			lat, bw := r.Values[0], r.Values[1]
+			minDetLat, maxDetBW = math.Min(minDetLat, lat), math.Max(maxDetBW, bw)
+			if lat <= bw {
+				t.Errorf("fig03 %s: FE-latency %.2f <= FE-bandwidth %.2f", r.Label, lat, bw)
+			}
+		}
+		maxSimLat, minSimBW := math.Inf(-1), math.Inf(1)
+		for _, m := range simple {
+			r := get(m + "_" + wl)
+			maxSimLat, minSimBW = math.Max(maxSimLat, r.Values[0]), math.Min(minSimBW, r.Values[1])
+		}
+		if minDetLat <= maxSimLat {
+			t.Errorf("fig03 %s: O3/Minor FE-latency (min %.2f) not above Timing/Atomic (max %.2f)", wl, minDetLat, maxSimLat)
+		}
+		if maxDetBW >= minSimBW {
+			t.Errorf("fig03 %s: O3/Minor FE-bandwidth (max %.2f) not below Timing/Atomic (min %.2f)", wl, maxDetBW, minSimBW)
+		}
+	}
+	minGem5BW, maxSPECBW := math.Inf(1), math.Inf(-1)
+	for _, r := range f3.Rows {
+		if strings.HasSuffix(r.Label, "_BOOT_EXIT") || strings.HasSuffix(r.Label, "_PARSEC") {
+			minGem5BW = math.Min(minGem5BW, r.Values[1])
+		} else {
+			maxSPECBW = math.Max(maxSPECBW, r.Values[1])
+		}
+	}
+	if minGem5BW <= maxSPECBW {
+		t.Errorf("fig03: gem5 FE-bandwidth (min %.2f) not above SPEC (max %.3f)", minGem5BW, maxSPECBW)
+	}
 }
 
 func TestFig13FrequencyScaling(t *testing.T) {

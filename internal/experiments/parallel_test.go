@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -123,4 +125,28 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	// Leave a cold cache for whichever test runs next.
 	ResetCaches()
+}
+
+// TestUnusableCkptCacheDirFails checks that a checkpoint cache directory
+// that cannot be created (a path under a regular file) fails every
+// requested experiment instead of silently running uncached.
+func TestUnusableCkptCacheDirFails(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Quick: true, Jobs: 1, CkptCacheDir: filepath.Join(file, "cache")}
+	if _, err := Run("table1", opt); err == nil {
+		t.Error("Run accepted an unusable -ckpt-cache-dir")
+	}
+	n := 0
+	for oc := range RunMany([]string{"table1", "table2"}, opt) {
+		n++
+		if oc.Err == nil {
+			t.Errorf("RunMany %s accepted an unusable -ckpt-cache-dir", oc.ID)
+		}
+	}
+	if n != 2 {
+		t.Fatalf("outcomes = %d, want 2", n)
+	}
 }

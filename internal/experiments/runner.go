@@ -96,12 +96,16 @@ type Outcome struct {
 // Outcome per id in ids order (not completion order), as each becomes
 // available. Rendered output is byte-identical for any worker count.
 func RunMany(ids []string, opt Options) <-chan Outcome {
-	opt = opt.withRunner()
+	opt, optErr := opt.withRunner()
 	pending := make([]chan Outcome, len(ids))
 	for i, id := range ids {
 		pending[i] = make(chan Outcome, 1)
 		i, id := i, strings.TrimSpace(id)
 		go func() {
+			if optErr != nil {
+				pending[i] <- Outcome{ID: id, Err: optErr}
+				return
+			}
 			res, err := Run(id, opt)
 			pending[i] <- Outcome{ID: id, Res: res, Err: err}
 		}()

@@ -15,9 +15,8 @@ import (
 // runs (measured across every cell of figs 10/12/13: worst 23.7%, mean
 // 8.3% — the worst cells are the Atomic-target M1 rows, whose windows
 // are the shortest in host instructions and so carry the largest
-// residual cold-start fraction). BENCH_simpoint.json records the
-// measured numbers next to the speedup; TestSampledFiguresError holds
-// this bound.
+// residual cold-start fraction). TestSampledFiguresError holds this
+// bound.
 const sampledErrorBoundPct = 25.0
 
 // simpointConfig is the harness's sampling parameterization. The interval
@@ -26,8 +25,8 @@ const sampledErrorBoundPct = 25.0
 // host machine warm across windows (core.IntervalRunner) and projects the
 // residual transient out (simpoint.steadyRate). These defaults keep the
 // quick-suite per-cell error inside sampledErrorBoundPct while clearing
-// the >=10x wall-clock target; BENCH_simpoint.json records the measured
-// numbers.
+// the >=10x wall-clock target (10.8x measured at -j 1 on a 1-core Xeon,
+// 2026-08-08; see DESIGN.md §12).
 func (o Options) simpointConfig() simpoint.Config {
 	cfg := simpoint.Config{
 		// WarmupInsts 1 means effectively no warmup: the runner's

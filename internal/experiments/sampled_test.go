@@ -95,7 +95,10 @@ func sampledErrorCells() []struct {
 func TestSampledFiguresError(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
-	full := Options{Quick: true, Jobs: 1}.withRunner()
+	full, err := Options{Quick: true, Jobs: 1}.withRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sampled := full
 	sampled.SimPoint = true
 	worst := 0.0

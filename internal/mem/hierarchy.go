@@ -82,23 +82,3 @@ func DefaultHierarchyConfig(prefix string) HierarchyConfig {
 		},
 	}
 }
-
-// Hierarchy is one constructed memory system.
-type Hierarchy struct {
-	L1I  *Cache
-	L1D  *Cache
-	L2   *Cache
-	Bus  *Bus
-	DRAM *DRAM
-}
-
-// NewHierarchy builds the memory system bottom-up in sys.
-func NewHierarchy(sys *sim.System, cfg HierarchyConfig) *Hierarchy {
-	h := &Hierarchy{}
-	h.DRAM = NewDRAM(sys, cfg.DRAM)
-	h.Bus = NewBus(sys, cfg.Bus, h.DRAM)
-	h.L2 = NewCache(sys, cfg.L2, h.Bus)
-	h.L1I = NewCache(sys, cfg.L1I, h.L2)
-	h.L1D = NewCache(sys, cfg.L1D, h.L2)
-	return h
-}

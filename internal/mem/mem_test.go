@@ -332,23 +332,23 @@ func TestDRAMTimingQueueing(t *testing.T) {
 
 func TestDefaultHierarchy(t *testing.T) {
 	sys := sim.NewSystem(1)
-	h := NewHierarchy(sys, DefaultHierarchyConfig("sys"))
+	h := NewMultiHierarchy(sys, DefaultHierarchyConfig("sys"), 1)
 	// A demand load misses L1D and L2, reaches DRAM.
-	lat := h.L1D.AtomicLatency(Access{Addr: 0x1000, Size: 4})
+	lat := h.L1D[0].AtomicLatency(Access{Addr: 0x1000, Size: 4})
 	if lat == 0 {
 		t.Fatal("zero miss latency")
 	}
-	if h.L1D.Misses() != 1 || h.L2.Misses() != 1 || h.DRAM.Reads() != 1 {
+	if h.L1D[0].Misses() != 1 || h.L2.Misses() != 1 || h.DRAM.Reads() != 1 {
 		t.Fatal("miss did not propagate")
 	}
 	// Second access hits in L1.
-	lat2 := h.L1D.AtomicLatency(Access{Addr: 0x1004, Size: 4})
+	lat2 := h.L1D[0].AtomicLatency(Access{Addr: 0x1004, Size: 4})
 	if lat2 >= lat {
 		t.Fatalf("hit latency %d not better than miss %d", lat2, lat)
 	}
 	// Instruction side is separate.
-	h.L1I.AtomicLatency(Access{Addr: 0x1000, Size: 4, Inst: true})
-	if h.L1I.Misses() != 1 {
+	h.L1I[0].AtomicLatency(Access{Addr: 0x1000, Size: 4, Inst: true})
+	if h.L1I[0].Misses() != 1 {
 		t.Fatal("L1I should miss independently")
 	}
 	if h.L2.Hits() != 1 {
@@ -356,7 +356,7 @@ func TestDefaultHierarchy(t *testing.T) {
 	}
 	// Timing path end-to-end.
 	fired := false
-	h.L1D.SendTiming(Access{Addr: 0x100000, Size: 8, Write: true}, func() { fired = true })
+	h.L1D[0].SendTiming(Access{Addr: 0x100000, Size: 8, Write: true}, func() { fired = true })
 	sys.Run(sim.MaxTick, 0)
 	if !fired {
 		t.Fatal("timing access never completed")
